@@ -1,42 +1,19 @@
 #include "config/journal.h"
 
-#include <sys/stat.h>
-
-#include <cerrno>
+#include <filesystem>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "config/telemetry_export.h"
-
 namespace config {
-namespace {
 
 using json::Value;
 
-/// mkdir -p (same contract as the runner's cache-dir helper).
-bool make_dirs(const std::string& path) {
-  std::string dir;
-  for (std::size_t i = 0; i < path.size(); ++i) {
-    dir += path[i];
-    const bool boundary = path[i] == '/' || i + 1 == path.size();
-    if (!boundary) continue;
-    std::string component = dir;
-    while (!component.empty() && component.back() == '/') component.pop_back();
-    if (component.empty()) continue;
-    if (::mkdir(component.c_str(), 0755) != 0 && errno != EEXIST) {
-      return false;
-    }
-  }
-  struct stat st {};
-  return ::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode);
-}
-
-}  // namespace
-
 CampaignJournal::CampaignJournal(const std::string& dir)
     : dir_(dir), path_(dir + "/" + kFileName) {
-  if (!make_dirs(dir_)) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir_, ec);
+  if (!std::filesystem::is_directory(dir_, ec)) {
     throw std::runtime_error("campaign journal: cannot create directory '" +
                              dir_ + "'");
   }
@@ -52,11 +29,8 @@ CampaignJournal::~CampaignJournal() {
 }
 
 void CampaignJournal::write_record(json::Value record) {
-  Value env = Value::object();
-  env.set("format", kFormat);
-  env.set("checksum", json::content_digest(record));
-  env.set("record", std::move(record));
-  const std::string line = env.dump() + "\n";
+  const std::string line =
+      json::seal(kFormat, "record", std::move(record)).dump() + "\n";
   const std::scoped_lock hold(mu_);
   std::fwrite(line.data(), 1, line.size(), file_);
   // Flush per record: fflush pushes the line into the kernel, which is
@@ -127,22 +101,14 @@ CampaignJournal::Replay CampaignJournal::replay(const std::string& dir) {
     if (line.empty()) continue;
     try {
       const Value env = Value::parse(line);
-      const Value* fmt = env.find("format");
-      const Value* sum = env.find("checksum");
-      const Value* rec = env.find("record");
-      if (fmt == nullptr || sum == nullptr || rec == nullptr ||
-          fmt->as_string() != kFormat ||
-          sum->as_string() != json::content_digest(*rec)) {
+      const Value* rec = json::unseal(env, kFormat, "record");
+      if (rec == nullptr) {
         out.corrupt_lines++;
         continue;
       }
-      const Value* event = rec->find("event");
-      if (event == nullptr) {
-        out.corrupt_lines++;
-        continue;
-      }
-      out.records++;
-      const std::string& kind = event->as_string();
+      // A sealed record missing a required field is as corrupt as a torn
+      // line: at() throws into the catch below before anything is applied.
+      const std::string& kind = rec->at("event").as_string();
       if (kind == "campaign") {
         out.has_campaign = true;
         if (const Value* v = rec->find("root_seed")) out.root_seed = v->as_u64();
@@ -151,19 +117,20 @@ CampaignJournal::Replay CampaignJournal::replay(const std::string& dir) {
           out.spec_count = static_cast<std::size_t>(v->as_u64());
         }
       } else if (kind == "start") {
-        out.in_flight.insert(rec->find("name")->as_string());
+        out.in_flight.insert(rec->at("name").as_string());
       } else if (kind == "done") {
-        const std::string& name = rec->find("name")->as_string();
+        const std::string& name = rec->at("name").as_string();
         Adopted a;
-        a.digest = rec->find("digest")->as_string();
-        a.seed = rec->find("seed")->as_u64();
-        a.outcome = RunOutcome::from_json(*rec->find("outcome"));
+        a.digest = rec->at("digest").as_string();
+        a.seed = rec->at("seed").as_u64();
+        a.outcome = RunOutcome::from_json(rec->at("outcome"));
         out.done[name] = std::move(a);  // last record wins
         out.in_flight.erase(name);
       } else if (kind == "incident") {
         if (const Value* v = rec->find("detail")) out.incidents.push_back(*v);
       }
       // Unknown record kinds are tolerated (forward compatibility).
+      out.records++;
     } catch (const std::exception&) {
       out.corrupt_lines++;
     }
@@ -181,20 +148,10 @@ json::Value CampaignJournal::merged_report(
     if (o.ok()) ok++;
   }
   v.set("ok", ok);
-  // Campaign blame rollup over every outcome carrying an attribution-v1
-  // document (see BatchReport::to_json for the same shape). Derived purely
-  // from the outcomes — never from execution order — so an interrupted,
-  // resumed campaign merges to the identical bytes. Absent when no outcome
-  // ran with blame, so blame-free campaign reports keep their exact form.
-  std::vector<const Value*> attributions;
-  for (const auto& o : outcomes) {
-    if (!o.result || o.result->telemetry.is_null()) continue;
-    if (const Value* a = o.result->telemetry.find("attribution")) {
-      attributions.push_back(a);
-    }
-  }
-  if (!attributions.empty()) {
-    v.set("attribution", attribution_rollup_json(attributions));
+  // Absent when no outcome ran with blame, so blame-free campaign reports
+  // keep their exact form.
+  if (Value roll = attribution_rollup(outcomes); !roll.is_null()) {
+    v.set("attribution", std::move(roll));
   }
   Value arr = Value::array();
   for (const auto& o : outcomes) arr.push(o.to_full_json());

@@ -2,8 +2,9 @@
 // `shieldctl run` batches.
 //
 // The journal is an append-only JSONL file. Each line is a checksum
-// envelope (the PR 4 cache-envelope shape — {format, checksum, record},
-// checksum = content digest of the record) around one of four records:
+// envelope (json::seal, the cache entries' shape — {format, checksum,
+// record}, checksum = content digest of the record) around one of four
+// records:
 //
 //   campaign  — batch identity: root seed, scale, spec count. Written once
 //               when the journal is created; replays refuse to adopt
@@ -77,7 +78,9 @@ class CampaignJournal {
     std::set<std::string> in_flight;      ///< started, never finished
     std::vector<json::Value> incidents;
     std::uint64_t records = 0;        ///< well-formed records read
-    std::uint64_t corrupt_lines = 0;  ///< torn / checksum-failed lines skipped
+    /// Lines skipped: torn, checksum-failed, or sealed records missing a
+    /// required field.
+    std::uint64_t corrupt_lines = 0;
   };
 
   /// Read DIR/journal.jsonl. A missing file yields an empty Replay (no

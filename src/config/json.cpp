@@ -92,6 +92,14 @@ const Value* Value::find(std::string_view key) const {
   return nullptr;
 }
 
+const Value& Value::at(std::string_view key) const {
+  const Value* v = find(key);
+  if (v == nullptr) {
+    throw std::runtime_error("json: missing field '" + std::string(key) + "'");
+  }
+  return *v;
+}
+
 bool Value::operator==(const Value& other) const {
   if (kind_ != other.kind_) return false;
   switch (kind_) {
@@ -483,6 +491,27 @@ std::string content_digest(const Value& v) {
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(h));
   return std::string(buf);
+}
+
+Value seal(std::string_view format, std::string_view field, Value payload) {
+  Value env = Value::object();
+  env.set("format", std::string(format));
+  env.set("checksum", content_digest(payload));
+  env.set(field, std::move(payload));
+  return env;
+}
+
+const Value* unseal(const Value& envelope, std::string_view format,
+                    std::string_view field) {
+  const Value* fmt = envelope.find("format");
+  const Value* sum = envelope.find("checksum");
+  const Value* payload = envelope.find(field);
+  if (fmt == nullptr || sum == nullptr || payload == nullptr ||
+      !fmt->is_string() || !sum->is_string() || fmt->as_string() != format ||
+      sum->as_string() != content_digest(*payload)) {
+    return nullptr;
+  }
+  return payload;
 }
 
 }  // namespace config::json

@@ -76,6 +76,9 @@ class Value {
 
   /// Object lookup; nullptr when absent (or not an object).
   [[nodiscard]] const Value* find(std::string_view key) const;
+  /// Required-field lookup for untrusted documents: like find(), but
+  /// throws std::runtime_error naming `key` instead of returning nullptr.
+  [[nodiscard]] const Value& at(std::string_view key) const;
 
   /// Serialize. indent < 0 → compact one-liner (the canonical form used
   /// for digests); indent >= 0 → pretty-printed with that step.
@@ -103,5 +106,17 @@ class Value {
 /// FNV-1a content hash of a value's canonical (compact) serialization,
 /// rendered as 16 hex digits. Used as the ScenarioSpec digest.
 [[nodiscard]] std::string content_digest(const Value& v);
+
+/// The checksum envelope both on-disk stores write (result cache entries,
+/// campaign journal lines): {"format": format, "checksum":
+/// content_digest(payload), <field>: payload}, so torn writes and bit rot
+/// are detectable on read.
+[[nodiscard]] Value seal(std::string_view format, std::string_view field,
+                         Value payload);
+/// The payload of an envelope sealed under (format, field); nullptr when
+/// the envelope has another format, lacks a member or fails its checksum.
+[[nodiscard]] const Value* unseal(const Value& envelope,
+                                  std::string_view format,
+                                  std::string_view field);
 
 }  // namespace config::json

@@ -1,12 +1,11 @@
 #include "config/scenario_runner.h"
 
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -41,13 +40,13 @@ Value summary_to_json(const metrics::Summary& s) {
 }
 
 metrics::Summary summary_from_json(const Value& v) {
-  const std::uint64_t n = v.find("n") ? v.find("n")->as_u64() : 0;
+  const std::uint64_t n = v.at("n").as_u64();
   if (n == 0) return metrics::Summary{};
-  return metrics::Summary::restore(n, v.find("min")->as_double(),
-                                   v.find("max")->as_double(),
-                                   v.find("mean")->as_double(),
-                                   v.find("m2")->as_double(),
-                                   v.find("sum")->as_double());
+  return metrics::Summary::restore(n, v.at("min").as_double(),
+                                   v.at("max").as_double(),
+                                   v.at("mean").as_double(),
+                                   v.at("m2").as_double(),
+                                   v.at("sum").as_double());
 }
 
 Value hist_to_json(const metrics::LatencyHistogram& h) {
@@ -184,32 +183,21 @@ bool write_file(const std::string& path, const std::string& content) {
 
 // ---- disk-cache integrity ---------------------------------------------------
 
-/// Cache files are a small envelope around the result payload so partial
-/// writes and bit rot are detectable: the checksum is the content digest of
-/// the payload, recomputed on read. Files in the old bare-result format fail
-/// the check and get recomputed — migration by quarantine.
+/// Cache files are a sealed envelope around the result payload so partial
+/// writes and bit rot are detectable (json::seal). Files in the old
+/// bare-result format fail the check and get recomputed — migration by
+/// quarantine.
 constexpr const char* kCacheFormat = "shieldsim-cache-v1";
 
 std::string encode_cache_entry(const ScenarioResult& r) {
-  Value payload = r.to_json();
-  Value env = Value::object();
-  env.set("format", kCacheFormat);
-  env.set("checksum", json::content_digest(payload));
-  env.set("result", std::move(payload));
-  return env.dump(2);
+  return json::seal(kCacheFormat, "result", r.to_json()).dump(2);
 }
 
 std::optional<ScenarioResult> decode_cache_entry(const std::string& text) {
   try {
     const Value env = Value::parse(text);
-    const Value* fmt = env.find("format");
-    const Value* sum = env.find("checksum");
-    const Value* payload = env.find("result");
-    if (fmt == nullptr || sum == nullptr || payload == nullptr) {
-      return std::nullopt;
-    }
-    if (fmt->as_string() != kCacheFormat) return std::nullopt;
-    if (sum->as_string() != json::content_digest(*payload)) return std::nullopt;
+    const Value* payload = json::unseal(env, kCacheFormat, "result");
+    if (payload == nullptr) return std::nullopt;
     return ScenarioResult::from_json(*payload);
   } catch (const std::exception&) {
     return std::nullopt;  // truncated / not JSON / wrong shapes
@@ -224,34 +212,13 @@ void quarantine_cache_file(const std::string& path) {
 
 // ---- prefix sharing ---------------------------------------------------------
 
-/// Which part of a spec the shared prefix covers: platform construction,
-/// workload installation and boot. Shield plan, probe, probe params,
-/// faults, telemetry and duration are all applied after the fork, so they
-/// stay out of the key. `ramp_ns` reserves room for a future simulated
-/// warm-up period shared by the prefix.
-std::string prefix_key(const ScenarioSpec& spec) {
-  Value v = Value::object();
-  v.set("machine", spec.machine);
-  v.set("kernel", spec.kernel);
-  v.set("kernel_overrides", spec.kernel_overrides);
-  v.set("ht_override",
-        spec.ht_override ? Value(*spec.ht_override) : Value());
-  Value wl = Value::array();
-  for (const auto& w : spec.workloads) {
-    Value e = Value::object();
-    e.set("name", w.name);
-    e.set("params", w.params);
-    wl.push(std::move(e));
-  }
-  v.set("workloads", std::move(wl));
-  v.set("ramp_ns", 0);
-  return json::content_digest(v);
-}
-
 /// Root folded into every prefix-platform seed; the per-prefix seed is
 /// derived from the prefix key so identical prefixes are identical across
 /// processes and runs.
 constexpr std::uint64_t kPrefixSeedRoot = 0x707265666978ull;  // "prefix"
+
+/// Bound on distinct warmed prefixes kept resident (LRU beyond it).
+constexpr std::size_t kPrefixCacheEntries = 8;
 
 /// Function-local statics in model code (the probe/workload factory maps,
 /// the kernel's latency-counter view table, stream/locale machinery) must
@@ -269,22 +236,31 @@ void warm_process_statics() {
   });
 }
 
-/// mkdir -p. Returns false when the final path is not a directory.
-bool make_dirs(const std::string& path) {
-  std::string dir;
-  for (std::size_t i = 0; i < path.size(); ++i) {
-    dir += path[i];
-    const bool boundary = path[i] == '/' || i + 1 == path.size();
-    if (!boundary) continue;
-    std::string component = dir;
-    while (!component.empty() && component.back() == '/') component.pop_back();
-    if (component.empty()) continue;
-    if (::mkdir(component.c_str(), 0755) != 0 && errno != EEXIST) {
-      return false;
-    }
+/// A spec's machine preset and its kernel preset with overrides applied.
+/// Resolved on the ordinary heap, outside any arena: temporaries freed
+/// inside an arena would leave holes that the platform's own allocations
+/// then fill, changing the prefix's memory layout.
+struct Presets {
+  MachineConfig machine;
+  KernelConfig kernel;
+  explicit Presets(const ScenarioSpec& spec)
+      : machine(*find_machine(spec.machine)),
+        kernel(*find_kernel(spec.kernel)) {
+    apply_kernel_overrides(kernel, spec.kernel_overrides);
   }
-  struct stat st {};
-  return ::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode);
+};
+
+/// Construct the spec's machine under `seed` and install its workloads —
+/// the part of a run that precedes the probe. Allocated wherever the active
+/// allocator puts it (heap or a state arena); the caller owns it.
+Platform* new_platform(const ScenarioSpec& spec, const Presets& presets,
+                       std::uint64_t seed) {
+  auto* p = new Platform(presets.machine, presets.kernel, seed,
+                         spec.ht_override);
+  for (const auto& w : spec.workloads) {
+    workload::make_workload(w.name, w.params)->install(*p);
+  }
+  return p;
 }
 
 }  // namespace
@@ -322,9 +298,6 @@ class ScenarioRunner::PrefixCache {
     Entry& operator=(const Entry&) = delete;
   };
 
-  explicit PrefixCache(std::size_t capacity)
-      : capacity_(std::max<std::size_t>(1, capacity)) {}
-
   /// Look up or insert the entry for `key`. The caller locks the entry's
   /// mutex and builds the prefix if `platform` is still null. When the
   /// cache is full and every resident entry is in use, the returned entry
@@ -336,10 +309,10 @@ class ScenarioRunner::PrefixCache {
       it->second->last_used = tick_;
       return it->second;
     }
-    if (entries_.size() >= capacity_) evict_one_unlocked();
+    if (entries_.size() >= kPrefixCacheEntries) evict_one_unlocked();
     auto entry = std::make_shared<Entry>();
     entry->last_used = tick_;
-    if (entries_.size() < capacity_) entries_.emplace(key, entry);
+    if (entries_.size() < kPrefixCacheEntries) entries_.emplace(key, entry);
     return entry;
   }
 
@@ -361,9 +334,248 @@ class ScenarioRunner::PrefixCache {
 
   std::mutex mu_;
   std::uint64_t tick_ = 0;
-  std::size_t capacity_;
   std::map<std::string, std::shared_ptr<Entry>> entries_;
 };
+
+// ---- LiveRun ---------------------------------------------------------------
+
+/// One scenario's lifecycle, from a platform with its workloads installed to
+/// the extracted result — the only copy of it: cold runs, forked runs and
+/// the snapshot check all drive this object. Construction arms the passive
+/// observers, builds the probe, boots (unless a warmed prefix already did),
+/// shields, starts the probe and arms the injector and sampler; midpoint()
+/// and finish() walk fixed slice boundaries under the watchdogs; result()
+/// extracts. Members are allocated wherever the active allocator puts
+/// them, so an arena-hosted LiveRun is rewound by a restore along with the
+/// platform it drives.
+class ScenarioRunner::LiveRun {
+ public:
+  LiveRun(const Options& opt, const ScenarioSpec& spec, std::uint64_t seed,
+          Platform& p);
+  // The kernel and the engine's wall guard hold pointers into this object.
+  LiveRun(const LiveRun&) = delete;
+  LiveRun& operator=(const LiveRun&) = delete;
+
+  /// Pause at the slice boundary nearest mid-horizon (the 32nd; clamped to
+  /// the horizon for degenerate slicings).
+  void midpoint() { advance(std::min<sim::Time>(end_, t0_ + 32 * slice_)); }
+  /// Run to the horizon, or to the first boundary where a sample-bound
+  /// probe reports done.
+  void finish() { advance(end_); }
+
+  [[nodiscard]] rt::Probe& probe() { return *probe_; }
+  /// The run's result so far (stops the sampler).
+  [[nodiscard]] ScenarioResult result();
+
+ private:
+  void advance(sim::Time until);
+  [[noreturn]] void time_out(const std::string& budget) const;
+  void check_wall() const;
+
+  const Options& opt_;
+  const ScenarioSpec& spec_;
+  std::uint64_t seed_;
+  Platform& p_;
+  std::optional<telemetry::BlameCollector> blame_;
+  std::unique_ptr<rt::Probe> probe_;
+  std::unique_ptr<fault::Injector> injector_;
+  std::optional<telemetry::Sampler> sampler_;
+  bool watchdog_ = false;
+  bool sample_bound_ = false;
+  sim::Duration slice_ = 1;
+  sim::Time t0_ = 0;
+  sim::Time end_ = 0;
+  std::uint64_t start_events_ = 0;
+  std::chrono::steady_clock::time_point wall_start_;
+};
+
+ScenarioRunner::LiveRun::LiveRun(const Options& opt, const ScenarioSpec& spec,
+                                 std::uint64_t seed, Platform& p)
+    : opt_(opt), spec_(spec), seed_(seed), p_(p) {
+  sim::Engine& engine = p.engine();
+  // The flight recorder is passive (no events, no RNG, no model state), so
+  // arming it alongside a watchdog cannot perturb the run it may have to
+  // explain. Armed before boot so the ring sees the earliest events too; on
+  // a fork it starts empty — the prefix is simulated with the recorder off
+  // and a restore wipes any previous child's entries — so a watchdog dump
+  // carries only this run's events.
+  watchdog_ = opt.max_events > 0 || opt.wall_limit_s > 0.0;
+  const bool worst = opt.flight_dump == Options::FlightDump::kWorst;
+  const bool ring_opted =
+      spec.telemetry.flight_recorder || spec.telemetry.timeline;
+  const bool dumping = opt.flight_dump != Options::FlightDump::kOff;
+  if (ring_opted || watchdog_ || dumping) {
+    const int cap = ring_opted ? spec.telemetry.flight_capacity : 4096;
+    engine.flight_recorder().enable(static_cast<std::size_t>(cap));
+  }
+  // The chain tracer, like the recorder, only reads simulated time, so
+  // enabling it for the timeline/blame exports cannot perturb the run. The
+  // worst-window dump needs it too: its trigger is a closing probe chain.
+  if (spec.telemetry.timeline || spec.telemetry.blame || worst) {
+    engine.chain_tracer().enable();
+  }
+  // The blame collector rides the probe-sample hook; the worst-window
+  // trigger additionally snapshots the ring around each new worst sample.
+  if (spec.telemetry.blame || worst) {
+    telemetry::BlameCollector::Options bo;
+    bo.worst_n = spec.telemetry.blame_worst;
+    bo.threshold_ns = spec.telemetry.blame_threshold_ns;
+    blame_.emplace(bo);
+    if (worst) blame_->attach_ring(&engine.flight_recorder());
+    p.kernel().set_blame_collector(&*blame_);
+  }
+
+  // A forked run builds its probe on a live kernel: probe tasks enter the
+  // scheduler as immediately runnable, which create_task supports.
+  probe_ = rt::make_probe(spec.probe, p, spec.probe_params, opt.scale);
+  apply_mechanism(spec, p, *probe_);
+  if (!p.kernel().started()) p.boot();
+  apply_shield(spec, p, *probe_);
+  probe_->start();
+
+  sim::Duration horizon;
+  if (spec.duration.fixed_ns > 0) {
+    horizon = static_cast<sim::Duration>(
+        static_cast<double>(spec.duration.fixed_ns) * opt.scale);
+  } else {
+    horizon = static_cast<sim::Duration>(
+                  static_cast<double>(probe_->base_duration()) *
+                  spec.duration.factor) +
+              spec.duration.margin_ns;
+  }
+  if (horizon <= 0) {
+    throw std::runtime_error(
+        "scenario '" + spec.name +
+        "': computed horizon is zero — check the duration policy (and "
+        "--scale; scaling a fixed horizon down to nothing counts)");
+  }
+
+  if (!spec.faults.empty()) {
+    // The injector derives its own RNG stream from the scenario seed, so a
+    // fault-free spec and an empty plan produce bit-identical runs.
+    injector_ = std::make_unique<fault::Injector>(p, spec.faults, seed);
+    injector_->arm(engine.now() + horizon);
+  }
+  if (spec.telemetry.sampler) {
+    sampler_.emplace(engine, engine.telemetry());
+    sampler_->start(spec.telemetry.sample_period_ns);
+  }
+
+  // The horizon of a sample-bound spec is an upper bound, not a target:
+  // DurationPolicy pads the probe's nominal duration with factor + margin
+  // so abnormal-latency runs still finish, and the probe freezes its
+  // result (the measuring task exits) the moment the budget is banked.
+  // Simulating past that point adds nothing to any export, so the run
+  // stops at the first slice boundary where the probe reports done. The
+  // check cadence derives from the probe's own nominal duration — not the
+  // horizon — so duration-policy slack can never shift the stop time (and
+  // therefore never perturbs the latency report or telemetry timeline).
+  // Otherwise the slices only pace the watchdog checks: often enough to
+  // matter, rarely enough that the loop itself is noise.
+  sample_bound_ = spec.duration.fixed_ns == 0 && probe_->base_duration() > 0;
+  slice_ = std::max<sim::Duration>(
+      1, (sample_bound_ ? probe_->base_duration() : horizon) / 64);
+  t0_ = engine.now();
+  end_ = t0_ + horizon;
+  start_events_ = engine.events_executed();
+  wall_start_ = std::chrono::steady_clock::now();
+}
+
+void ScenarioRunner::LiveRun::advance(sim::Time until) {
+  if (!watchdog_ && !sample_bound_) {
+    p_.run_until(until);  // the zero-overhead path for fixed-duration specs
+    return;
+  }
+  sim::Engine& engine = p_.engine();
+  // The slice-boundary wall check below is too coarse on its own: one slice
+  // of a pathological spec (an event chain at nanosecond pitch, a fault
+  // storm) can take arbitrarily long, overshooting the limit unboundedly.
+  // An engine-level guard polls the clock every few thousand events, so the
+  // watchdog fires within microseconds of wall time of the budget no matter
+  // how the work is distributed across slices.
+  struct WallGuardScope {
+    sim::Engine& engine;
+    ~WallGuardScope() { engine.clear_wall_guard(); }
+  };
+  std::optional<WallGuardScope> guard;
+  if (opt_.wall_limit_s > 0.0) {
+    guard.emplace(WallGuardScope{engine});
+    engine.set_wall_guard([this] { check_wall(); }, 4096);
+  }
+  // Boundaries fall at t0 + k*slice however the walk is split (a midpoint
+  // pause included), and run_until(a); run_until(b) executes the same
+  // events as run_until(b), so pausing never perturbs the event stream.
+  while (engine.now() < until) {
+    if (sample_bound_ && probe_->done()) break;
+    p_.run_until(std::min<sim::Time>(until, engine.now() + slice_));
+    if (opt_.max_events > 0 &&
+        engine.events_executed() - start_events_ > opt_.max_events) {
+      time_out("event watchdog (" + std::to_string(opt_.max_events) +
+               " simulated events)");
+    }
+    if (opt_.wall_limit_s > 0.0) check_wall();
+  }
+}
+
+void ScenarioRunner::LiveRun::check_wall() const {
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - wall_start_;
+  if (elapsed.count() <= opt_.wall_limit_s) return;
+  time_out("wall-clock watchdog (" + std::to_string(opt_.wall_limit_s) + "s)");
+}
+
+void ScenarioRunner::LiveRun::time_out(const std::string& budget) const {
+  throw ScenarioTimeout("scenario '" + spec_.name + "': exceeded the " +
+                            budget + " at t=" +
+                            std::to_string(p_.engine().now()) + "ns",
+                        flight_dump_json(p_.engine().flight_recorder()));
+}
+
+ScenarioResult ScenarioRunner::LiveRun::result() {
+  sim::Engine& engine = p_.engine();
+  ScenarioResult r;
+  r.name = spec_.name;
+  r.digest = spec_.digest();
+  r.seed = seed_;
+  r.scale = opt_.scale;
+  r.probe = probe_->result();
+  r.events = engine.events_executed();
+  r.duration_ns = static_cast<std::uint64_t>(engine.now() - t0_);
+  // A collector armed only for the worst-window trigger stays out of the
+  // result: the attribution document is the spec's own opt-in.
+  const bool attributed = blame_ && spec_.telemetry.blame;
+  if (sampler_ || attributed) {
+    Value t = Value::object();
+    t.set("schema", "telemetry-v1");
+    if (sampler_) {
+      sampler_->stop();
+      t.set("counters", telemetry_counters_json(engine.telemetry()));
+      t.set("timeline", telemetry_timeline_json(*sampler_));
+    }
+    if (attributed) {
+      t.set("attribution", attribution_json(blame_->attribution()));
+    }
+    r.telemetry = std::move(t);
+  }
+  switch (opt_.flight_dump) {
+    case Options::FlightDump::kOff:
+      break;
+    case Options::FlightDump::kFull:
+      r.flight_recording = flight_dump_json(engine.flight_recorder());
+      break;
+    case Options::FlightDump::kWorst:
+      // Trigger mode: the window snapshotted around the worst observed
+      // probe sample. A run whose probe never fired falls back to the
+      // whole ring, so the outcome always carries evidence.
+      if (blame_ && !blame_->worst_window().empty()) {
+        r.flight_recording = flight_window_json(blame_->worst_window());
+      } else {
+        r.flight_recording = flight_dump_json(engine.flight_recorder());
+      }
+      break;
+  }
+  return r;
+}
 
 // ---- ScenarioResult --------------------------------------------------------
 
@@ -446,44 +658,42 @@ RunStatus run_status_from(const std::string& token) {
   throw std::runtime_error("unknown run status '" + token + "'");
 }
 
-json::Value RunOutcome::to_json() const {
+namespace {
+
+/// The two outcome forms differ only in how the result appears (report:
+/// seed/events; wire: the full result) and in `execution`, which the wire
+/// form omits — see the header.
+Value outcome_json(const RunOutcome& o, bool full) {
   Value v = Value::object();
-  v.set("name", name);
+  v.set("name", o.name);
   // Default mechanism omitted: pre-mechanism reports keep their exact bytes.
-  if (mechanism != "inband") v.set("mechanism", mechanism);
-  v.set("status", to_string(status));
-  v.set("attempts", attempts);
-  if (!error.empty()) v.set("error", error);
-  if (!retry_seeds.empty()) {
+  if (o.mechanism != "inband") v.set("mechanism", o.mechanism);
+  v.set("status", to_string(o.status));
+  v.set("attempts", o.attempts);
+  if (!o.error.empty()) v.set("error", o.error);
+  if (!o.retry_seeds.empty()) {
     Value seeds = Value::array();
-    for (const std::uint64_t s : retry_seeds) seeds.push(s);
+    for (const std::uint64_t s : o.retry_seeds) seeds.push(s);
     v.set("retry_seeds", std::move(seeds));
   }
-  if (result) {
-    v.set("seed", result->seed);
-    v.set("events", result->events);
+  if (o.result && full) v.set("result", o.result->to_json());
+  if (o.result && !full) {
+    v.set("seed", o.result->seed);
+    v.set("events", o.result->events);
   }
-  if (!flight_recording.is_null()) v.set("flight_recording", flight_recording);
-  if (!execution.is_null()) v.set("execution", execution);
+  if (!o.flight_recording.is_null()) {
+    v.set("flight_recording", o.flight_recording);
+  }
+  if (!full && !o.execution.is_null()) v.set("execution", o.execution);
   return v;
 }
 
+}  // namespace
+
+json::Value RunOutcome::to_json() const { return outcome_json(*this, false); }
+
 json::Value RunOutcome::to_full_json() const {
-  Value v = Value::object();
-  v.set("name", name);
-  if (mechanism != "inband") v.set("mechanism", mechanism);
-  v.set("status", to_string(status));
-  v.set("attempts", attempts);
-  if (!error.empty()) v.set("error", error);
-  if (!retry_seeds.empty()) {
-    Value seeds = Value::array();
-    for (const std::uint64_t s : retry_seeds) seeds.push(s);
-    v.set("retry_seeds", std::move(seeds));
-  }
-  if (result) v.set("result", result->to_json());
-  if (!flight_recording.is_null()) v.set("flight_recording", flight_recording);
-  // `execution` intentionally omitted — see the header.
-  return v;
+  return outcome_json(*this, true);
 }
 
 RunOutcome RunOutcome::from_json(const json::Value& v) {
@@ -565,18 +775,10 @@ json::Value BatchReport::to_json() const {
     }
     v.set("by_mechanism", std::move(by));
   }
-  // Campaign-level blame rollup: the per-cause totals summed across every
-  // outcome that carries an attribution-v1 document. Present only when at
-  // least one does, so blame-free reports keep their exact serialized form.
-  std::vector<const Value*> attributions;
-  for (const auto& o : outcomes) {
-    if (!o.result || o.result->telemetry.is_null()) continue;
-    if (const Value* a = o.result->telemetry.find("attribution")) {
-      attributions.push_back(a);
-    }
-  }
-  if (!attributions.empty()) {
-    v.set("attribution", attribution_rollup_json(attributions));
+  // Campaign-level blame rollup, present only when some outcome carries an
+  // attribution-v1 document, so blame-free reports keep their exact form.
+  if (Value roll = attribution_rollup(outcomes); !roll.is_null()) {
+    v.set("attribution", std::move(roll));
   }
   if (!supervisor.is_null()) v.set("supervisor", supervisor);
   Value arr = Value::array();
@@ -589,13 +791,12 @@ json::Value BatchReport::to_json() const {
 
 ScenarioRunner::ScenarioRunner(Options opt)
     : opt_(std::move(opt)), sweep_(opt_.jobs) {
-  if (opt_.prefix_reuse) {
-    prefix_cache_ =
-        std::make_unique<PrefixCache>(opt_.prefix_cache_entries);
-  }
+  if (opt_.prefix_reuse) prefix_cache_ = std::make_unique<PrefixCache>();
   if (!opt_.cache_dir.empty()) {
-    const bool usable =
-        make_dirs(opt_.cache_dir) && ::access(opt_.cache_dir.c_str(), W_OK) == 0;
+    std::error_code ec;
+    std::filesystem::create_directories(opt_.cache_dir, ec);
+    const bool usable = std::filesystem::is_directory(opt_.cache_dir, ec) &&
+                        ::access(opt_.cache_dir.c_str(), W_OK) == 0;
     if (!usable) {
       std::fprintf(stderr,
                    "warning: cache dir '%s' is not writable; "
@@ -614,11 +815,10 @@ std::string ScenarioRunner::cache_key(const std::string& digest,
   // run of the same (spec, seed), so the two must never share a cache slot.
   // The marker is versioned with the fork semantics. "-es1" versions the
   // early-stop horizon semantics (sample-bound runs end when the probe
-  // banks its budget, so latency/telemetry exports cover a shorter
-  // window); full_horizon runs keep the legacy key form and stay
-  // compatible with entries written before early stop existed.
+  // banks its budget, so latency/telemetry exports cover a shorter window
+  // than entries written before early stop existed).
   return digest + "-" + std::to_string(seed) + "-" + Value(opt_.scale).dump() +
-         (opt_.full_horizon ? "" : "-es1") + (forked ? "-fork1" : "");
+         "-es1" + (forked ? "-fork1" : "");
 }
 
 std::string ScenarioRunner::cache_path(const std::string& key) const {
@@ -628,8 +828,8 @@ std::string ScenarioRunner::cache_path(const std::string& key) const {
 ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec,
                                    std::uint64_t seed, const Hooks& hooks) {
   // A flight-dump run behaves like an observed one: the dump is not part
-  // of the cacheable result, so the run must be fresh (and cold — the
-  // forked path has no dump extraction), and its result must not be
+  // of the cacheable result, so the run must be fresh (and cold, so the
+  // dump explains the cold run's numbers), and its result must not be
   // cached (a later dump-free run would otherwise read a byte-identical
   // entry, which is fine, but a later dump run would get a cache hit with
   // no recording attached).
@@ -668,7 +868,7 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec,
   }
 
   ScenarioResult r =
-      forked ? run_forked(spec, seed) : run_uncached(spec, seed, hooks);
+      forked ? run_forked(spec, seed) : run_cold(spec, seed, hooks);
   if (opt_.cache && !observed) {
     const std::scoped_lock hold(cache_mutex_);
     memory_cache_[key] = r;
@@ -679,156 +879,35 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec,
   return r;
 }
 
-ScenarioResult ScenarioRunner::run_uncached(const ScenarioSpec& spec,
-                                            std::uint64_t seed,
-                                            const Hooks& hooks) {
+ScenarioResult ScenarioRunner::run_cold(const ScenarioSpec& spec,
+                                       std::uint64_t seed,
+                                       const Hooks& hooks) {
   spec.validate();
-  const auto machine = find_machine(spec.machine);
-  auto kcfg = *find_kernel(spec.kernel);
-  apply_kernel_overrides(kcfg, spec.kernel_overrides);
-
-  Platform p(*machine, kcfg, seed, spec.ht_override);
-  // The flight recorder is passive (no events, no RNG, no model state), so
-  // arming it alongside a watchdog cannot perturb the run it may have to
-  // explain. Enabled before boot so the ring sees the earliest events too.
-  const bool watchdog = opt_.max_events > 0 || opt_.wall_limit_s > 0.0;
-  const bool dumping = opt_.flight_dump != Options::FlightDump::kOff;
-  const bool ring_opted = spec.telemetry.flight_recorder ||
-                          spec.telemetry.timeline;
-  if (ring_opted || watchdog || dumping) {
-    const int cap = ring_opted ? spec.telemetry.flight_capacity : 4096;
-    p.engine().flight_recorder().enable(static_cast<std::size_t>(cap));
-  }
-  // The chain tracer, like the recorder, only reads simulated time — it
-  // never schedules events or draws randomness — so enabling it for the
-  // timeline/blame exports cannot perturb the run. The worst-window dump
-  // needs it too: its trigger is a closing probe chain.
-  if (spec.telemetry.timeline || spec.telemetry.blame ||
-      opt_.flight_dump == Options::FlightDump::kWorst) {
-    p.engine().chain_tracer().enable();
-  }
-  // The blame collector rides the probe-sample hook; the worst-window
-  // trigger additionally snapshots the ring around each new worst sample.
-  std::optional<telemetry::BlameCollector> blame;
-  if (spec.telemetry.blame ||
-      opt_.flight_dump == Options::FlightDump::kWorst) {
-    telemetry::BlameCollector::Options bo;
-    bo.worst_n = spec.telemetry.blame_worst;
-    bo.threshold_ns = spec.telemetry.blame_threshold_ns;
-    blame.emplace(bo);
-    if (opt_.flight_dump == Options::FlightDump::kWorst) {
-      blame->attach_ring(&p.engine().flight_recorder());
-    }
-    p.kernel().set_blame_collector(&*blame);
-  }
-  for (const auto& w : spec.workloads) {
-    workload::make_workload(w.name, w.params)->install(p);
-  }
-  if (hooks.configured) hooks.configured(p);
-
-  const auto probe =
-      rt::make_probe(spec.probe, p, spec.probe_params, opt_.scale);
-  apply_mechanism(spec, p, *probe);
-  p.boot();
-  apply_shield(spec, p, *probe);
-  probe->start();
-
-  sim::Duration horizon;
-  if (spec.duration.fixed_ns > 0) {
-    horizon = static_cast<sim::Duration>(
-        static_cast<double>(spec.duration.fixed_ns) * opt_.scale);
-  } else {
-    horizon = static_cast<sim::Duration>(
-                  static_cast<double>(probe->base_duration()) *
-                  spec.duration.factor) +
-              spec.duration.margin_ns;
-  }
-  if (horizon <= 0) {
-    throw std::runtime_error(
-        "scenario '" + spec.name +
-        "': computed horizon is zero — check the duration policy (and "
-        "--scale; scaling a fixed horizon down to nothing counts)");
-  }
-
-  std::unique_ptr<fault::Injector> injector;
-  if (!spec.faults.empty()) {
-    // The injector derives its own RNG stream from the scenario seed, so a
-    // fault-free spec and an empty plan produce bit-identical runs.
-    injector = std::make_unique<fault::Injector>(p, spec.faults, seed);
-    injector->arm(p.engine().now() + horizon);
-  }
-
-  std::optional<telemetry::Sampler> sampler;
-  if (spec.telemetry.sampler) {
-    sampler.emplace(p.engine(), p.engine().telemetry());
-    sampler->start(spec.telemetry.sample_period_ns);
-  }
-
-  const sim::Time run_start = p.engine().now();
+  const std::unique_ptr<Platform> p(new_platform(spec, Presets(spec), seed));
+  if (hooks.configured) hooks.configured(*p);
+  LiveRun run(opt_, spec, seed, *p);
   try {
-    run_to_horizon(spec, p, horizon, *probe);
+    run.finish();
   } catch (const ScenarioAbort&) {
     throw;  // already carries its dump
   } catch (const std::exception& e) {
     // A structured mid-run failure (probe error, workload assertion thrown
     // as an exception): keep the evidence if the ring was on.
-    if (!p.engine().flight_recorder().enabled()) throw;
+    if (!p->engine().flight_recorder().enabled()) throw;
     throw ScenarioFailure(e.what(),
-                          flight_dump_json(p.engine().flight_recorder()));
+                          flight_dump_json(p->engine().flight_recorder()));
   }
-
-  if (hooks.finished) hooks.finished(p, *probe);
-
-  ScenarioResult r;
-  r.name = spec.name;
-  r.digest = spec.digest();
-  r.seed = seed;
-  r.scale = opt_.scale;
-  r.probe = probe->result();
-  r.events = p.engine().events_executed();
-  r.duration_ns = static_cast<std::uint64_t>(p.engine().now() - run_start);
-  if (sampler || (blame && spec.telemetry.blame)) {
-    Value t = Value::object();
-    t.set("schema", "telemetry-v1");
-    if (sampler) {
-      sampler->stop();
-      t.set("counters", telemetry_counters_json(p.engine().telemetry()));
-      t.set("timeline", telemetry_timeline_json(*sampler));
-    }
-    if (blame && spec.telemetry.blame) {
-      t.set("attribution", attribution_json(blame->attribution()));
-    }
-    r.telemetry = std::move(t);
-  }
-  switch (opt_.flight_dump) {
-    case Options::FlightDump::kOff:
-      break;
-    case Options::FlightDump::kFull:
-      r.flight_recording = flight_dump_json(p.engine().flight_recorder());
-      break;
-    case Options::FlightDump::kWorst:
-      // Trigger mode: the window snapshotted around the worst observed
-      // probe sample. A run whose probe never fired falls back to the
-      // whole ring, so the outcome always carries evidence.
-      if (blame && !blame->worst_window().empty()) {
-        r.flight_recording = flight_window_json(blame->worst_window());
-      } else {
-        r.flight_recording = flight_dump_json(p.engine().flight_recorder());
-      }
-      break;
-  }
-  return r;
+  if (hooks.finished) hooks.finished(*p, run.probe());
+  return run.result();
 }
 
 ScenarioResult ScenarioRunner::run_forked(const ScenarioSpec& spec,
                                           std::uint64_t seed) {
   spec.validate();  // also touches the factory-map statics (see warm note)
-  const auto machine = find_machine(spec.machine);
-  auto kcfg = *find_kernel(spec.kernel);
-  apply_kernel_overrides(kcfg, spec.kernel_overrides);
+  const Presets presets(spec);
   warm_process_statics();
 
-  const std::string pkey = prefix_key(spec);
+  const std::string pkey = scenario_prefix_key(spec);
   const auto entry = prefix_cache_->acquire(pkey);
   const std::scoped_lock hold(entry->mu);
 
@@ -844,11 +923,7 @@ ScenarioResult ScenarioRunner::run_forked(const ScenarioSpec& spec,
       prefix_misses_.fetch_add(1);
       entry->arena->reset();
       entry->prefix_seed = sim::derive_seed(kPrefixSeedRoot, pkey);
-      auto* p = new Platform(*machine, kcfg, entry->prefix_seed,
-                             spec.ht_override);
-      for (const auto& w : spec.workloads) {
-        workload::make_workload(w.name, w.params)->install(*p);
-      }
+      Platform* p = new_platform(spec, presets, entry->prefix_seed);
       p->boot();
       entry->snap = sim::Snapshot::capture(*entry->arena);
       entry->platform = p;
@@ -869,90 +944,9 @@ ScenarioResult ScenarioRunner::run_forked(const ScenarioSpec& spec,
         entry->prefix_seed, sim::SeedDomain::kFork,
         spec.digest() + "#" + std::to_string(seed)));
 
-    // The ring starts empty here — the prefix is simulated with the
-    // recorder off and a restore wipes any previous child's entries — so
-    // a watchdog dump from this child carries only this child's events.
-    const bool watchdog = opt_.max_events > 0 || opt_.wall_limit_s > 0.0;
-    const bool ring_opted = spec.telemetry.flight_recorder ||
-                            spec.telemetry.timeline;
-    if (ring_opted || watchdog) {
-      const int cap = ring_opted ? spec.telemetry.flight_capacity : 4096;
-      p.engine().flight_recorder().enable(static_cast<std::size_t>(cap));
-    }
-    if (spec.telemetry.timeline || spec.telemetry.blame) {
-      p.engine().chain_tracer().enable();
-    }
-    // Stack-hosted like the sampler below: the collector only needs to
-    // outlive the run, and the kernel's pointer to it is rewound with the
-    // rest of the arena on the next restore.
-    std::optional<telemetry::BlameCollector> blame;
-    if (spec.telemetry.blame) {
-      telemetry::BlameCollector::Options bo;
-      bo.worst_n = spec.telemetry.blame_worst;
-      bo.threshold_ns = spec.telemetry.blame_threshold_ns;
-      blame.emplace(bo);
-      p.kernel().set_blame_collector(&*blame);
-    }
-
-    // Post-boot probe construction: probe tasks enter the scheduler as
-    // immediately runnable, which create_task supports on a live kernel.
-    const auto probe =
-        rt::make_probe(spec.probe, p, spec.probe_params, opt_.scale);
-    apply_mechanism(spec, p, *probe);
-    apply_shield(spec, p, *probe);
-    probe->start();
-
-    sim::Duration horizon;
-    if (spec.duration.fixed_ns > 0) {
-      horizon = static_cast<sim::Duration>(
-          static_cast<double>(spec.duration.fixed_ns) * opt_.scale);
-    } else {
-      horizon = static_cast<sim::Duration>(
-                    static_cast<double>(probe->base_duration()) *
-                    spec.duration.factor) +
-                spec.duration.margin_ns;
-    }
-    if (horizon <= 0) {
-      throw std::runtime_error(
-          "scenario '" + spec.name +
-          "': computed horizon is zero — check the duration policy (and "
-          "--scale; scaling a fixed horizon down to nothing counts)");
-    }
-
-    std::unique_ptr<fault::Injector> injector;
-    if (!spec.faults.empty()) {
-      injector = std::make_unique<fault::Injector>(p, spec.faults, seed);
-      injector->arm(p.engine().now() + horizon);
-    }
-
-    std::optional<telemetry::Sampler> sampler;
-    if (spec.telemetry.sampler) {
-      sampler.emplace(p.engine(), p.engine().telemetry());
-      sampler->start(spec.telemetry.sample_period_ns);
-    }
-
-    const sim::Time run_start = p.engine().now();
-    run_to_horizon(spec, p, horizon, *probe);
-
-    ScenarioResult r;
-    r.name = spec.name;
-    r.digest = spec.digest();
-    r.seed = seed;
-    r.scale = opt_.scale;
-    r.probe = probe->result();
-    r.events = p.engine().events_executed();
-    r.duration_ns = static_cast<std::uint64_t>(p.engine().now() - run_start);
-    if (sampler || blame) {
-      Value t = Value::object();
-      t.set("schema", "telemetry-v1");
-      if (sampler) {
-        sampler->stop();
-        t.set("counters", telemetry_counters_json(p.engine().telemetry()));
-        t.set("timeline", telemetry_timeline_json(*sampler));
-      }
-      if (blame) t.set("attribution", attribution_json(blame->attribution()));
-      r.telemetry = std::move(t);
-    }
+    LiveRun run(opt_, spec, seed, p);
+    run.finish();
+    const ScenarioResult r = run.result();
     // Deep-copy the result off the arena: `r`'s innards live in arena
     // memory that the next fork's restore will rewind.
     scope.pause();
@@ -974,95 +968,8 @@ ScenarioResult ScenarioRunner::run_forked(const ScenarioSpec& spec,
   return out;
 }
 
-void ScenarioRunner::run_to_horizon(const ScenarioSpec& spec, Platform& p,
-                                    sim::Duration horizon,
-                                    const rt::Probe& probe) const {
-  const bool watchdog = opt_.max_events > 0 || opt_.wall_limit_s > 0.0;
-  // The horizon of a sample-bound spec is an upper bound, not a target:
-  // DurationPolicy pads the probe's nominal duration with factor + margin
-  // so abnormal-latency runs still finish, and the probe freezes its
-  // result (the measuring task exits) the moment the budget is banked.
-  // Simulating past that point adds nothing to any export, so the run
-  // stops at the first slice boundary where the probe reports done. The
-  // check cadence derives from the probe's own nominal duration — not the
-  // horizon — so duration-policy slack can never shift the stop time (and
-  // therefore never perturbs the latency report or telemetry timeline).
-  const bool sample_bound = !opt_.full_horizon && spec.duration.fixed_ns == 0 &&
-                            probe.base_duration() > 0;
-  if (!watchdog && !sample_bound) {
-    p.run_for(horizon);  // the zero-overhead path for fixed-duration specs
-    return;
-  }
-  const std::uint64_t start_events = p.engine().events_executed();
-  const auto wall_start = std::chrono::steady_clock::now();
-  const sim::Time end = p.engine().now() + horizon;
-  // The slice-boundary wall check below is too coarse on its own: one slice
-  // of a pathological spec (an event chain at nanosecond pitch, a fault
-  // storm) can take arbitrarily long, overshooting the limit unboundedly.
-  // An engine-level guard polls the clock every few thousand events, so the
-  // watchdog fires within microseconds of wall time of the budget no matter
-  // how the work is distributed across slices.
-  struct WallGuardScope {
-    sim::Engine& engine;
-    ~WallGuardScope() { engine.clear_wall_guard(); }
-  };
-  std::optional<WallGuardScope> guard;
-  if (opt_.wall_limit_s > 0.0) {
-    guard.emplace(p.engine());
-    const double limit = opt_.wall_limit_s;
-    const std::string name = spec.name;
-    sim::Engine* engine = &p.engine();
-    p.engine().set_wall_guard(
-        [engine, wall_start, limit, name] {
-          const std::chrono::duration<double> elapsed =
-              std::chrono::steady_clock::now() - wall_start;
-          if (elapsed.count() <= limit) return;
-          throw ScenarioTimeout(
-              "scenario '" + name + "': exceeded the wall-clock watchdog (" +
-                  std::to_string(limit) + "s) at t=" +
-                  std::to_string(engine->now()) + "ns",
-              flight_dump_json(engine->flight_recorder()));
-        },
-        4096);
-  }
-  // Slice the horizon so the budgets are checked often enough to matter but
-  // rarely enough that the loop itself is noise.
-  const auto slice = sample_bound
-                         ? std::max<sim::Duration>(1, probe.base_duration() / 64)
-                         : std::max<sim::Duration>(1, horizon / 64);
-  while (p.engine().now() < end) {
-    if (sample_bound && probe.done()) break;
-    p.run_until(std::min<sim::Time>(end, p.engine().now() + slice));
-    if (opt_.max_events > 0 &&
-        p.engine().events_executed() - start_events > opt_.max_events) {
-      throw ScenarioTimeout(
-          "scenario '" + spec.name + "': exceeded the event watchdog (" +
-              std::to_string(opt_.max_events) + " simulated events) at t=" +
-              std::to_string(p.engine().now()) + "ns",
-          flight_dump_json(p.engine().flight_recorder()));
-    }
-    if (opt_.wall_limit_s > 0.0) {
-      const std::chrono::duration<double> elapsed =
-          std::chrono::steady_clock::now() - wall_start;
-      if (elapsed.count() > opt_.wall_limit_s) {
-        throw ScenarioTimeout(
-            "scenario '" + spec.name +
-                "': exceeded the wall-clock watchdog (" +
-                std::to_string(opt_.wall_limit_s) + "s) at t=" +
-                std::to_string(p.engine().now()) + "ns",
-            flight_dump_json(p.engine().flight_recorder()));
-      }
-    }
-  }
-}
-
 ScenarioRunner::SnapshotCheck ScenarioRunner::snapshot_bit_identity(
     const ScenarioSpec& spec, std::uint64_t seed) {
-  spec.validate();
-  const auto machine = find_machine(spec.machine);
-  auto kcfg = *find_kernel(spec.kernel);
-  apply_kernel_overrides(kcfg, spec.kernel_overrides);
-  warm_process_statics();
   SnapshotCheck out;
 
   // Baseline: the ordinary malloc-hosted, uninterrupted run, with a
@@ -1073,159 +980,41 @@ ScenarioRunner::SnapshotCheck ScenarioRunner::snapshot_bit_identity(
   hooks.finished = [&](Platform& p, rt::Probe&) {
     baseline_latency = kernel::latency_report_json(p.kernel(), {});
   };
-  const ScenarioResult base = run_uncached(spec, seed, hooks);
-  out.baseline = base.to_json().dump(2) + "\n" + baseline_latency;
+  out.baseline = run_cold(spec, seed, hooks).to_json().dump(2) + "\n" +
+                 baseline_latency;
 
-  // Arena-hosted replica of run_uncached's exact sequence, split at
-  // mid-horizon: run the first half, snapshot, continue to the end and
-  // extract; then restore and re-run the second half and extract again.
-  // All three serialized outputs must agree to the byte.
+  // The same lifecycle hosted in an arena and paused at mid-horizon: take
+  // a snapshot, finish and extract; then restore and finish and extract
+  // again. All three serialized outputs must agree to the byte.
+  const Presets presets(spec);
+  warm_process_statics();
   sim::PooledArena arena;
   {
     sim::StateArena::Scope scope(*arena);
-    auto* p = new Platform(*machine, kcfg, seed, spec.ht_override);
-    const bool watchdog = opt_.max_events > 0 || opt_.wall_limit_s > 0.0;
-    const bool ring_opted = spec.telemetry.flight_recorder ||
-                            spec.telemetry.timeline;
-    if (ring_opted || watchdog) {
-      const int cap = ring_opted ? spec.telemetry.flight_capacity : 4096;
-      p->engine().flight_recorder().enable(static_cast<std::size_t>(cap));
-    }
-    if (spec.telemetry.timeline || spec.telemetry.blame) {
-      p->engine().chain_tracer().enable();
-    }
-    for (const auto& w : spec.workloads) {
-      workload::make_workload(w.name, w.params)->install(*p);
-    }
-    auto probe =
-        rt::make_probe(spec.probe, *p, spec.probe_params, opt_.scale);
-    apply_mechanism(spec, *p, *probe);
-    p->boot();
-    apply_shield(spec, *p, *probe);
-    probe->start();
-
-    sim::Duration horizon;
-    if (spec.duration.fixed_ns > 0) {
-      horizon = static_cast<sim::Duration>(
-          static_cast<double>(spec.duration.fixed_ns) * opt_.scale);
-    } else {
-      horizon = static_cast<sim::Duration>(
-                    static_cast<double>(probe->base_duration()) *
-                    spec.duration.factor) +
-                spec.duration.margin_ns;
-    }
-    if (horizon <= 0) {
-      throw std::runtime_error("scenario '" + spec.name +
-                               "': computed horizon is zero");
-    }
-
-    std::unique_ptr<fault::Injector> injector;
-    if (!spec.faults.empty()) {
-      injector = std::make_unique<fault::Injector>(*p, spec.faults, seed);
-      injector->arm(p->engine().now() + horizon);
-    }
-    // The sampler must be arena-resident (unlike run_uncached's stack
-    // instance): a mid-run restore has to rewind its timeline too.
-    std::unique_ptr<telemetry::Sampler> sampler;
-    if (spec.telemetry.sampler) {
-      sampler = std::make_unique<telemetry::Sampler>(p->engine(),
-                                                     p->engine().telemetry());
-      sampler->start(spec.telemetry.sample_period_ns);
-    }
-    // Likewise arena-resident: the restore below must rewind the
-    // collector's worst set and aggregates along with the rest of the run.
-    std::unique_ptr<telemetry::BlameCollector> blame;
-    if (spec.telemetry.blame) {
-      telemetry::BlameCollector::Options bo;
-      bo.worst_n = spec.telemetry.blame_worst;
-      bo.threshold_ns = spec.telemetry.blame_threshold_ns;
-      blame = std::make_unique<telemetry::BlameCollector>(bo);
-      p->kernel().set_blame_collector(blame.get());
-    }
-
-    const sim::Time run_start = p->engine().now();
-
-    // Mirrors run_uncached's extraction order exactly (latency report at
-    // the finished-hook point, then the result, then sampler shutdown).
-    const auto extract = [&]() {
+    Platform* p = new_platform(spec, presets, seed);
+    auto* run = new LiveRun(opt_, spec, seed, *p);
+    const auto extract = [&](std::string& into) {
+      // Latency report first, where the baseline's finished hook takes it.
       const std::string latency = kernel::latency_report_json(p->kernel(), {});
-      ScenarioResult r;
-      r.name = spec.name;
-      r.digest = spec.digest();
-      r.seed = seed;
-      r.scale = opt_.scale;
-      r.probe = probe->result();
-      r.events = p->engine().events_executed();
-      r.duration_ns = static_cast<std::uint64_t>(p->engine().now() - run_start);
-      if (sampler || blame) {
-        Value t = Value::object();
-        t.set("schema", "telemetry-v1");
-        if (sampler) {
-          sampler->stop();
-          t.set("counters", telemetry_counters_json(p->engine().telemetry()));
-          t.set("timeline", telemetry_timeline_json(*sampler));
-        }
-        if (blame) {
-          t.set("attribution", attribution_json(blame->attribution()));
-        }
-        r.telemetry = std::move(t);
-      }
-      return r.to_json().dump(2) + "\n" + latency;
+      const std::string blob =
+          run->result().to_json().dump(2) + "\n" + latency;
+      scope.pause();
+      into.assign(blob.data(), blob.size());
+      scope.resume();
     };
 
-    // Replicate run_to_horizon's slicing bit-for-bit: the stop time of a
-    // sample-bound run is "first slice boundary at which the probe is
-    // done", so this replica must walk the same boundary sequence
-    // (t0 + k*slice) or its outputs would cover a different window than
-    // the baseline's. Pausing at a boundary to take the snapshot does not
-    // perturb the event stream — run_until(a); run_until(b) executes the
-    // same events as run_until(b).
-    const bool sample_bound = !opt_.full_horizon &&
-                              spec.duration.fixed_ns == 0 &&
-                              probe->base_duration() > 0;
-    const auto slice =
-        sample_bound
-            ? std::max<sim::Duration>(1, probe->base_duration() / 64)
-            : std::max<sim::Duration>(1, horizon / 64);
-    const sim::Time t0 = p->engine().now();
-    const sim::Time end = t0 + horizon;
-    const auto run_span = [&](sim::Time until) {
-      while (p->engine().now() < until) {
-        if (sample_bound && probe->done()) break;
-        p->run_until(std::min<sim::Time>(until, p->engine().now() + slice));
-      }
-    };
-
-    // Snapshot at the boundary nearest mid-run (the 32nd slice), clamped
-    // to the horizon for degenerate slicings.
-    const sim::Time mid = std::min<sim::Time>(
-        end, t0 + static_cast<sim::Time>(32) * static_cast<sim::Time>(slice));
-    run_span(mid);
+    run->midpoint();
     const sim::Snapshot snap = sim::Snapshot::capture(*arena);
     out.snapshot_bytes = snap.bytes();
-
-    run_span(end);
-    {
-      const std::string blob = extract();
-      scope.pause();
-      out.continued.assign(blob.data(), blob.size());
-      scope.resume();
-    }
+    run->finish();
+    extract(out.continued);
 
     snap.restore(*arena);
-    run_span(end);
-    {
-      const std::string blob = extract();
-      scope.pause();
-      out.resumed.assign(blob.data(), blob.size());
-      scope.resume();
-    }
+    run->finish();
+    extract(out.resumed);
 
     snap.restore(*arena);  // destruct against the coherent checkpoint graph
-    blame.reset();
-    sampler.reset();
-    injector.reset();
-    probe.reset();
+    delete run;
     delete p;
   }
 
@@ -1294,22 +1083,29 @@ RunOutcome ScenarioRunner::run_outcome(const ScenarioSpec& spec,
 
 namespace {
 
-/// With prefix sharing on, same-prefix specs should land on the same
-/// worker: the group's first run builds the snapshot and the rest fork it
-/// without ever contending on the entry lock. Returns batch indices
-/// grouped by prefix key (group order follows first appearance, so a
-/// prefix-sorted registry keeps its familiar execution order).
-std::vector<std::vector<std::size_t>> group_by_prefix(
-    const std::vector<ScenarioSpec>& specs) {
-  std::vector<std::vector<std::size_t>> groups;
-  std::map<std::string, std::size_t> index;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const std::string key = prefix_key(specs[i]);
-    const auto [it, inserted] = index.emplace(key, groups.size());
-    if (inserted) groups.emplace_back();
-    groups[it->second].push_back(i);
+/// Map `fn` over a batch's indices on the sweep's workers, results in
+/// batch order. Grouped (prefix sharing on), each prefix group runs in
+/// order on one worker, so the group's first run builds the snapshot and
+/// the rest fork it without contending on the entry lock.
+template <typename T, typename Fn>
+std::vector<T> map_batch(const bench::SweepRunner& sweep,
+                         const std::vector<ScenarioSpec>& specs, bool grouped,
+                         Fn fn) {
+  if (!grouped) return sweep.map<T>(specs.size(), fn);
+  const auto groups = prefix_groups(specs);
+  auto per_group = sweep.map<std::vector<T>>(groups.size(), [&](std::size_t g) {
+    std::vector<T> outs;
+    outs.reserve(groups[g].size());
+    for (const std::size_t i : groups[g]) outs.push_back(fn(i));
+    return outs;
+  });
+  std::vector<T> results(specs.size());
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    for (std::size_t k = 0; k < groups[g].size(); ++k) {
+      results[groups[g][k]] = std::move(per_group[g][k]);
+    }
   }
-  return groups;
+  return results;
 }
 
 }  // namespace
@@ -1323,43 +1119,18 @@ BatchReport ScenarioRunner::run_batch_report(
     const std::vector<ScenarioSpec>& specs, std::uint64_t root_seed,
     const BatchObserver& observer) {
   BatchReport report;
-  const auto seed_of = [&](std::size_t i) {
-    return sim::derive_seed(root_seed, sim::SeedDomain::kBatch,
-                            specs[i].name);
-  };
-  const auto observed_outcome = [&](std::size_t i) {
-    const std::uint64_t seed = seed_of(i);
-    if (observer.started) observer.started(i, specs[i], seed);
-    RunOutcome out = run_outcome(specs[i], seed);
-    if (observer.finished) observer.finished(i, specs[i], out);
-    return out;
-  };
   const std::uint64_t hits0 = prefix_hits_.load();
   const std::uint64_t misses0 = prefix_misses_.load();
   // run_outcome never throws, so one hostile spec cannot sink the batch the
   // way run_batch's first-exception-wins rethrow does.
-  if (opt_.prefix_reuse) {
-    const auto groups = group_by_prefix(specs);
-    const auto per_group = sweep_.map<std::vector<RunOutcome>>(
-        groups.size(), [&](std::size_t g) {
-          std::vector<RunOutcome> outs;
-          outs.reserve(groups[g].size());
-          for (const std::size_t i : groups[g]) {
-            outs.push_back(observed_outcome(i));
-          }
-          return outs;
-        });
-    report.outcomes.resize(specs.size());
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      for (std::size_t k = 0; k < groups[g].size(); ++k) {
-        report.outcomes[groups[g][k]] = std::move(per_group[g][k]);
-      }
-    }
-  } else {
-    report.outcomes = sweep_.map<RunOutcome>(specs.size(), [&](std::size_t i) {
-      return observed_outcome(i);
-    });
-  }
+  report.outcomes = map_batch<RunOutcome>(
+      sweep_, specs, opt_.prefix_reuse, [&](std::size_t i) {
+        const std::uint64_t seed = batch_seed(root_seed, specs[i]);
+        if (observer.started) observer.started(i, specs[i], seed);
+        RunOutcome out = run_outcome(specs[i], seed);
+        if (observer.finished) observer.finished(i, specs[i], out);
+        return out;
+      });
   report.cache_entries_recomputed = cache_recomputed_.load();
   report.prefix_hits = prefix_hits_.load() - hits0;
   report.prefix_misses = prefix_misses_.load() - misses0;
@@ -1368,32 +1139,10 @@ BatchReport ScenarioRunner::run_batch_report(
 
 std::vector<ScenarioResult> ScenarioRunner::run_batch(
     const std::vector<ScenarioSpec>& specs, std::uint64_t root_seed) {
-  const auto seed_of = [&](std::size_t i) {
-    return sim::derive_seed(root_seed, sim::SeedDomain::kBatch,
-                            specs[i].name);
-  };
-  if (opt_.prefix_reuse) {
-    const auto groups = group_by_prefix(specs);
-    const auto per_group = sweep_.map<std::vector<ScenarioResult>>(
-        groups.size(), [&](std::size_t g) {
-          std::vector<ScenarioResult> outs;
-          outs.reserve(groups[g].size());
-          for (const std::size_t i : groups[g]) {
-            outs.push_back(run(specs[i], seed_of(i)));
-          }
-          return outs;
-        });
-    std::vector<ScenarioResult> results(specs.size());
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      for (std::size_t k = 0; k < groups[g].size(); ++k) {
-        results[groups[g][k]] = std::move(per_group[g][k]);
-      }
-    }
-    return results;
-  }
-  return sweep_.map<ScenarioResult>(specs.size(), [&](std::size_t i) {
-    return run(specs[i], seed_of(i));
-  });
+  return map_batch<ScenarioResult>(
+      sweep_, specs, opt_.prefix_reuse, [&](std::size_t i) {
+        return run(specs[i], batch_seed(root_seed, specs[i]));
+      });
 }
 
 std::vector<ScenarioResult> ScenarioRunner::run_seeds(const ScenarioSpec& spec,
@@ -1407,8 +1156,56 @@ std::vector<ScenarioResult> ScenarioRunner::run_seeds(const ScenarioSpec& spec,
   });
 }
 
+/// Which part of a spec the shared prefix covers: platform construction,
+/// workload installation and boot. Shield plan, probe, probe params,
+/// faults, telemetry and duration are all applied after the fork, so they
+/// stay out of the key. `ramp_ns` reserves room for a future simulated
+/// warm-up period shared by the prefix.
 std::string scenario_prefix_key(const ScenarioSpec& spec) {
-  return prefix_key(spec);
+  Value v = Value::object();
+  v.set("machine", spec.machine);
+  v.set("kernel", spec.kernel);
+  v.set("kernel_overrides", spec.kernel_overrides);
+  v.set("ht_override",
+        spec.ht_override ? Value(*spec.ht_override) : Value());
+  Value wl = Value::array();
+  for (const auto& w : spec.workloads) {
+    Value e = Value::object();
+    e.set("name", w.name);
+    e.set("params", w.params);
+    wl.push(std::move(e));
+  }
+  v.set("workloads", std::move(wl));
+  v.set("ramp_ns", 0);
+  return json::content_digest(v);
+}
+
+std::vector<std::vector<std::size_t>> prefix_groups(
+    const std::vector<ScenarioSpec>& specs) {
+  std::vector<std::vector<std::size_t>> groups;
+  std::map<std::string, std::size_t> index;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const auto [it, inserted] =
+        index.emplace(scenario_prefix_key(specs[i]), groups.size());
+    if (inserted) groups.emplace_back();
+    groups[it->second].push_back(i);
+  }
+  return groups;
+}
+
+std::uint64_t batch_seed(std::uint64_t root_seed, const ScenarioSpec& spec) {
+  return sim::derive_seed(root_seed, sim::SeedDomain::kBatch, spec.name);
+}
+
+json::Value attribution_rollup(const std::vector<RunOutcome>& outcomes) {
+  std::vector<const Value*> docs;
+  for (const auto& o : outcomes) {
+    if (!o.result) continue;
+    if (const Value* a = o.result->telemetry.find("attribution")) {
+      docs.push_back(a);
+    }
+  }
+  return attribution_rollup_json(docs);
 }
 
 std::vector<ScenarioSpec> expand_grid(const ScenarioSpec& base,

@@ -39,7 +39,7 @@ struct ScenarioResult {
   /// Simulated time actually executed for the measurement window. For
   /// fixed-duration specs this equals the scaled horizon; for sample-bound
   /// specs it is where the run stopped once the probe banked its budget
-  /// (the horizon is an upper bound, not a target — see run_to_horizon).
+  /// (the horizon is an upper bound, not a target — see DESIGN.md §12).
   std::uint64_t duration_ns = 0;
   /// Telemetry document ({counters, timeline, attribution}) when the spec
   /// opted into the sampler and/or blame; null otherwise and then absent
@@ -205,8 +205,6 @@ class ScenarioRunner {
     /// streams derive from a fork label — so cached results carry a fork
     /// marker in their key. Off by default; `shieldctl run` turns it on.
     bool prefix_reuse = false;
-    /// Bound on distinct warmed prefixes kept resident (LRU beyond it).
-    std::size_t prefix_cache_entries = 8;
     /// Attach the flight-recorder ring to *successful* runs too (outcomes
     /// gain a flight_recording document). kFull dumps the whole ring at the
     /// end of the run; kWorst snapshots the ring around the worst observed
@@ -215,20 +213,14 @@ class ScenarioRunner {
     /// simulated data, so the dump is still deterministic per (spec, seed).
     enum class FlightDump { kOff, kFull, kWorst };
     FlightDump flight_dump = FlightDump::kOff;
-    /// Diagnostic escape hatch: always simulate the entire horizon even
-    /// after a sample-bound probe has banked its budget (the pre-stop
-    /// semantics). The probe result is identical either way — probes
-    /// freeze and exit at their budget — but the kernel latency report and
-    /// telemetry timeline then cover the full slack window. Results run
-    /// this way keep the legacy cache-key form.
-    bool full_horizon = false;
   };
 
   /// Observation points for runs that need more than the cacheable result
   /// (e.g. --trace). Any hook forces a fresh simulation: hooks see live
   /// Platform/Probe state the cache cannot reproduce.
   struct Hooks {
-    /// After workloads are installed, before the probe is constructed.
+    /// After workloads are installed, before the runner arms its flight
+    /// ring, chain tracer and blame collector and builds the probe.
     std::function<void(Platform&)> configured;
     /// After the horizon has elapsed, before the result is extracted.
     std::function<void(Platform&, rt::Probe&)> finished;
@@ -313,13 +305,14 @@ class ScenarioRunner {
   }
 
  private:
+  class LiveRun;
   class PrefixCache;
 
-  ScenarioResult run_uncached(const ScenarioSpec& spec, std::uint64_t seed,
-                              const Hooks& hooks);
+  /// A fresh platform built in this call: the only path hooks can observe.
+  ScenarioResult run_cold(const ScenarioSpec& spec, std::uint64_t seed,
+                          const Hooks& hooks);
+  /// A fork of the spec's warmed prefix (Options::prefix_reuse).
   ScenarioResult run_forked(const ScenarioSpec& spec, std::uint64_t seed);
-  void run_to_horizon(const ScenarioSpec& spec, Platform& p,
-                      sim::Duration horizon, const rt::Probe& probe) const;
   [[nodiscard]] std::string cache_key(const std::string& digest,
                                       std::uint64_t seed, bool forked) const;
   [[nodiscard]] std::string cache_path(const std::string& key) const;
@@ -335,10 +328,28 @@ class ScenarioRunner {
 };
 
 /// Prefix-sharing key of a spec (see Options::prefix_reuse): specs with
-/// equal keys can fork one booted platform prefix. Exposed so the campaign
-/// supervisor can dispatch same-prefix specs to the same worker process,
-/// preserving snapshot reuse across the process boundary.
+/// equal keys can fork one booted platform prefix.
 [[nodiscard]] std::string scenario_prefix_key(const ScenarioSpec& spec);
+
+/// Batch indices grouped by scenario_prefix_key, groups in order of first
+/// appearance (a prefix-sorted registry keeps its familiar order). Every
+/// batch executor dispatches whole groups to one worker thread or process,
+/// so a group's first run builds the prefix snapshot and the rest fork it.
+[[nodiscard]] std::vector<std::vector<std::size_t>> prefix_groups(
+    const std::vector<ScenarioSpec>& specs);
+
+/// The seed `spec` runs under in a batch rooted at `root_seed`: derived
+/// from the spec *name* (SeedDomain::kBatch), so adding, reordering or
+/// re-placing specs never reshuffles another spec's streams.
+[[nodiscard]] std::uint64_t batch_seed(std::uint64_t root_seed,
+                                       const ScenarioSpec& spec);
+
+/// Campaign blame rollup (attribution-rollup-v1) over every outcome whose
+/// result carries an attribution-v1 document; null when none does. Derived
+/// purely from outcomes, never from execution order, so a resumed campaign
+/// rolls up to the same bytes as an uninterrupted one.
+[[nodiscard]] json::Value attribution_rollup(
+    const std::vector<RunOutcome>& outcomes);
 
 /// Expand a parameter grid over a base spec: `grid` is a JSON object
 /// mapping probe-parameter keys to arrays of values; the result is the

@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cstdio>
 #include <deque>
-#include <map>
 #include <optional>
 #include <utility>
 
@@ -257,23 +256,13 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
   std::uint64_t total_recomputed = 0, total_ph = 0, total_pm = 0;
 
   const auto seed_of = [&](std::size_t i) {
-    return sim::derive_seed(root_seed, sim::SeedDomain::kBatch, specs[i].name);
+    return batch_seed(root_seed, specs[i]);
   };
 
   // Same-prefix specs are dispatched as one group to one worker, so
   // in-worker prefix-snapshot reuse matches the in-process path.
   std::deque<std::vector<std::size_t>> queue;
-  {
-    std::map<std::string, std::size_t> index;
-    std::vector<std::vector<std::size_t>> groups;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      const auto [it, inserted] =
-          index.emplace(scenario_prefix_key(specs[i]), groups.size());
-      if (inserted) groups.emplace_back();
-      groups[it->second].push_back(i);
-    }
-    for (auto& g : groups) queue.push_back(std::move(g));
-  }
+  for (auto& g : prefix_groups(specs)) queue.push_back(std::move(g));
 
   Value incidents = Value::array();
   const auto record_incident = [&](Value inc) {
@@ -656,40 +645,28 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
   report.supervisor = std::move(sup);
 
   // Campaign blame rollup exported as prometheus series: one cell per cause
-  // key, nanoseconds and segment counts summed across every outcome that
-  // carried an attribution-v1 document. Registered only when some outcome
-  // did, so blame-free campaigns keep their exact supervisor.prom bytes.
-  {
-    std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> causes;
-    for (const auto& o : report.outcomes) {
-      if (!o.result || o.result->telemetry.is_null()) continue;
-      const Value* a = o.result->telemetry.find("attribution");
-      const Value* c = a != nullptr ? a->find("causes") : nullptr;
-      if (c == nullptr) continue;
-      for (const auto& [key, cause] : c->members()) {
-        auto& [ns, count] = causes[key];
-        if (const Value* f = cause.find("ns")) ns += f->as_u64();
-        if (const Value* f = cause.find("count")) count += f->as_u64();
-      }
-    }
-    if (!causes.empty()) {
-      std::vector<std::string> names;
-      names.reserve(causes.size());
-      for (const auto& [key, totals] : causes) names.push_back(key);
-      auto ns_gauge = telemetry_.settable_gauge(
-          "campaign_blame_cause_ns",
-          "Nanoseconds attributed to each latency cause across the campaign",
-          static_cast<int>(names.size()), "cause", names);
-      auto count_gauge = telemetry_.settable_gauge(
-          "campaign_blame_cause_segments",
-          "Attributed chain segments per latency cause across the campaign",
-          static_cast<int>(names.size()), "cause", names);
-      int cell = 0;
-      for (const auto& [key, totals] : causes) {
-        ns_gauge.set(cell, totals.first);
-        count_gauge.set(cell, totals.second);
-        ++cell;
-      }
+  // key with its campaign-wide nanoseconds and segment count. Registered
+  // only when some outcome carried attribution, so blame-free campaigns
+  // keep their exact supervisor.prom bytes.
+  const Value roll = attribution_rollup(report.outcomes);
+  if (const Value* causes = roll.find("causes");
+      causes != nullptr && !causes->members().empty()) {
+    std::vector<std::string> names;
+    names.reserve(causes->members().size());
+    for (const auto& [key, cause] : causes->members()) names.push_back(key);
+    auto ns_gauge = telemetry_.settable_gauge(
+        "campaign_blame_cause_ns",
+        "Nanoseconds attributed to each latency cause across the campaign",
+        static_cast<int>(names.size()), "cause", names);
+    auto count_gauge = telemetry_.settable_gauge(
+        "campaign_blame_cause_segments",
+        "Attributed chain segments per latency cause across the campaign",
+        static_cast<int>(names.size()), "cause", names);
+    int cell = 0;
+    for (const auto& [key, cause] : causes->members()) {
+      ns_gauge.set(cell, cause.at("ns").as_u64());
+      count_gauge.set(cell, cause.at("count").as_u64());
+      ++cell;
     }
   }
 

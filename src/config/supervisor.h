@@ -15,10 +15,9 @@
 // SIGKILLs the worker and classifies the spec kHung). Respawn backoff is
 // exponential with deterministic jitter (SeedDomain::kRespawn).
 //
-// Dispatch preserves prefix-snapshot locality: specs are grouped by
-// scenario_prefix_key and a whole group goes to one worker, so in-worker
-// prefix reuse matches the in-process path and supervision stays within a
-// few percent of it.
+// Dispatch preserves prefix-snapshot locality: a whole prefix_groups()
+// group goes to one worker, so in-worker prefix reuse matches the
+// in-process path and supervision stays within a few percent of it.
 //
 // Results cross the pipe as RunOutcome wire JSON — pure simulated data —
 // which is what lets a campaign journal merge supervised, in-process and
@@ -71,9 +70,9 @@ class Supervisor {
 
   explicit Supervisor(Options opt);
 
-  /// Run the batch under supervision. Seeds derive exactly like
-  /// run_batch_report's (SeedDomain::kBatch per spec name), so a supervised
-  /// campaign produces the same per-spec results as an in-process one.
+  /// Run the batch under supervision. Seeds are run_batch_report's
+  /// (batch_seed), so a supervised campaign produces the same per-spec
+  /// results as an in-process one.
   /// When `journal` is non-null every start/terminal outcome/host incident
   /// is journaled as it happens. Outcomes come back in spec order; the
   /// report's `supervisor` section carries the Stats plus incident records.

@@ -9,7 +9,8 @@
 // their generation tags and pending cancels, RNG streams, per-CPU kernel
 // state, device state and telemetry cells are all just bytes in the arena.
 //
-// Soundness requirements (enforced by the callers in ScenarioRunner):
+// Soundness requirements (enforced by ScenarioRunner, whose prefix cache and
+// snapshot check both drive its one run lifecycle):
 //  * capture/restore only between events, with no live references held by
 //    code outside the arena to objects allocated after the mark;
 //  * objects created after capture must be destroyed before restore (their

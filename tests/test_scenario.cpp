@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <set>
 #include <stdexcept>
 
@@ -300,14 +301,16 @@ TEST(ScenarioRunner, SampleBoundRunsStopOnceTheProbeBanksItsBudget) {
   ro.scale = 0.005;
   ro.cache = false;
   config::ScenarioRunner early(ro);
-  auto fo = ro;
-  fo.full_horizon = true;
-  config::ScenarioRunner full(fo);
 
   const auto a = early.run(spec, 2003);
-  const auto b = full.run(spec, 2003);
+  // Fixed-duration runs never stop early, so a fixed-duration copy whose
+  // horizon ends well after the early stop simulates the slack in full.
   // The probe banked its full budget and its figures are identical to the
-  // full-horizon run's — the slack contributed nothing...
+  // copy's — the slack contributed nothing...
+  auto fixed = spec;
+  fixed.duration.fixed_ns = static_cast<sim::Duration>(
+      2.0 * static_cast<double>(a.duration_ns) / ro.scale);
+  const auto b = early.run(fixed, 2003);
   EXPECT_TRUE(a.probe.complete);
   EXPECT_EQ(a.probe.collected, a.probe.expected);
   EXPECT_EQ(a.to_json().find("probe")->dump(),
@@ -331,23 +334,41 @@ TEST(ScenarioRunner, SampleBoundRunsStopOnceTheProbeBanksItsBudget) {
 TEST(ScenarioRunner, FixedDurationRunsAlwaysCoverTheFullSpan) {
   // Duration-bound specs (timeline probes, cyclictest figures) keep their
   // exact pre-early-stop behavior: the scaled fixed horizon is simulated
-  // in full, and full_horizon mode is byte-identical to the default.
+  // in full, and walking it in watchdog slices is byte-identical to the
+  // single unsliced run the default path takes.
   const auto spec = spec_of("timer-gap-10ms-jiffy");
   ASSERT_GT(spec.duration.fixed_ns, 0);
   config::ScenarioRunner::Options ro;
   ro.scale = 0.01;
   ro.cache = false;
-  config::ScenarioRunner early(ro);
-  auto fo = ro;
-  fo.full_horizon = true;
-  config::ScenarioRunner full(fo);
+  config::ScenarioRunner plain(ro);
+  auto wo = ro;
+  wo.max_events = std::uint64_t{1} << 40;  // arms the sliced walk, never fires
+  config::ScenarioRunner sliced(wo);
 
-  const auto a = early.run(spec, 2003);
-  const auto b = full.run(spec, 2003);
+  const auto a = plain.run(spec, 2003);
+  const auto b = sliced.run(spec, 2003);
   EXPECT_EQ(a.to_json().dump(), b.to_json().dump());
   EXPECT_EQ(a.duration_ns,
             static_cast<std::uint64_t>(
                 static_cast<double>(spec.duration.fixed_ns) * ro.scale));
+
+  // A fixed-duration copy of a sample-bound spec whose horizon ends after
+  // the early stop covers that whole horizon even though its probe banked
+  // the budget long before.
+  const auto bound = spec_of("abl-shield-full");
+  ro.scale = 0.005;
+  config::ScenarioRunner runner(ro);
+  const auto early = runner.run(bound, 2003);
+  auto fixed = bound;
+  fixed.duration.fixed_ns = static_cast<sim::Duration>(
+      2.0 * static_cast<double>(early.duration_ns) / ro.scale);
+  const auto full = runner.run(fixed, 2003);
+  EXPECT_TRUE(full.probe.complete);
+  EXPECT_EQ(full.duration_ns,
+            static_cast<std::uint64_t>(
+                static_cast<double>(fixed.duration.fixed_ns) * ro.scale));
+  EXPECT_GT(full.duration_ns, early.duration_ns);
 }
 
 TEST(ScenarioRunner, HooksBypassTheCache) {
@@ -640,12 +661,38 @@ TEST(ScenarioRunner, ChecksumMismatchIsQuarantinedAndRecomputed) {
   config::ScenarioRunner::Options ro;
   ro.scale = 0.005;
   ro.cache_dir = dir;
+  std::string fresh;
   {
     config::ScenarioRunner runner(ro);
-    (void)runner.run(spec, 6);
+    fresh = runner.run(spec, 6).to_json().dump();
   }
   const auto path = cache_file_path(dir, spec, 6, "0.005");
-  {  // flip the checksum: valid JSON, wrong integrity
+  const auto flip_checksum = [](std::string content) {
+    // Valid JSON, wrong integrity: corrupt one digest char.
+    const auto pos = content.find("\"checksum\"");
+    EXPECT_NE(pos, std::string::npos);
+    if (pos != std::string::npos) content[content.find(':', pos) + 3] ^= 1;
+    return content;
+  };
+  const auto drop_moments = [](std::string content) {
+    // Valid integrity, hostile payload: re-sealed around a histogram
+    // summary that claims one sample but carries none of its moments. The
+    // parser must reject it, not dereference the missing fields.
+    auto result = *config::json::Value::parse(content).find("result");
+    auto probe = *result.find("probe");
+    auto primary = *probe.find("primary");
+    auto summary = config::json::Value::object();
+    summary.set("n", 1);
+    primary.set("summary", std::move(summary));
+    probe.set("primary", std::move(primary));
+    result.set("probe", std::move(probe));
+    return config::json::seal("shieldsim-cache-v1", "result",
+                              std::move(result))
+        .dump(2);
+  };
+  for (const auto& rewrite :
+       {std::function<std::string(std::string)>(flip_checksum),
+        std::function<std::string(std::string)>(drop_moments)}) {
     std::FILE* f = std::fopen(path.c_str(), "r");
     ASSERT_NE(f, nullptr);
     std::string content;
@@ -653,22 +700,20 @@ TEST(ScenarioRunner, ChecksumMismatchIsQuarantinedAndRecomputed) {
     std::size_t n;
     while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) content.append(buf, n);
     std::fclose(f);
-    const auto pos = content.find("\"checksum\"");
-    ASSERT_NE(pos, std::string::npos);
-    content[content.find(':', pos) + 3] ^= 1;  // corrupt one digest char
+    content = rewrite(std::move(content));
     f = std::fopen(path.c_str(), "w");
     ASSERT_NE(f, nullptr);
     std::fwrite(content.data(), 1, content.size(), f);
     std::fclose(f);
-  }
-  {
+
     config::ScenarioRunner runner(ro);
     const auto r = runner.run(spec, 6);
     EXPECT_FALSE(r.from_cache);
+    EXPECT_EQ(r.to_json().dump(), fresh);
     EXPECT_EQ(runner.cache_entries_recomputed(), 1u);
+    std::remove((path + ".quarantined").c_str());
   }
   std::remove(path.c_str());
-  std::remove((path + ".quarantined").c_str());
 }
 
 TEST(ScenarioRunner, NestedCacheDirIsCreatedRecursively) {
@@ -760,7 +805,7 @@ TEST(ScenarioRunner, RetryExhaustionRecordsEveryReseedAndStaysNotOk) {
 
 TEST(ScenarioRunner, WallClockWatchdogFiresMidRunNotOnlyAtPollBoundaries) {
   // Regression: the wall limit used to be consulted only at event-boundary
-  // polls in run_to_horizon, so a single long run_until stretch could
+  // polls in the runner's slice loop, so a single long run_until stretch could
   // stall far past its budget. The engine-level wall guard now checks a
   // host timer every few thousand callbacks; a deliberately enormous run
   // must be cut off promptly mid-stretch.

@@ -122,22 +122,33 @@ TEST(CampaignJournal, CorruptAndTornLinesAreSkippedAndCounted) {
     j.write_done("a", "da", 5, out);
   }
   const std::string path = dir + "/journal.jsonl";
-  // Corruption menu: plain garbage, a checksum-failing envelope, and a
-  // torn tail line (a SIGKILLed writer's last breath — no newline).
+  // Corruption menu: plain garbage, a checksum-failing envelope, records
+  // whose checksum is valid but which lack a required field, and a torn
+  // tail line (a SIGKILLed writer's last breath — no newline).
   append_text(path, "not json at all\n");
   append_text(path,
               "{\"format\":\"campaign-journal-v1\",\"checksum\":\"beef\","
               "\"record\":{\"event\":\"done\",\"name\":\"evil\"}}\n");
+  for (const char* rec :
+       {R"({"event":"start"})", R"({"name":"a","seed":5})",
+        R"({"event":"done","name":"b"})",
+        R"({"event":"done","name":"c","digest":"dc","seed":5})"}) {
+    append_text(path, config::json::seal("campaign-journal-v1", "record",
+                                         config::json::Value::parse(rec))
+                              .dump() +
+                          "\n");
+  }
   append_text(path,
               "{\"format\":\"campaign-journal-v1\",\"checksum\":\"00\","
               "\"record\":{\"event\":\"do");
   const auto replay = config::CampaignJournal::replay(dir);
   EXPECT_EQ(replay.records, 2u);
-  EXPECT_EQ(replay.corrupt_lines, 3u);
+  EXPECT_EQ(replay.corrupt_lines, 7u);
   EXPECT_TRUE(replay.has_campaign);
   ASSERT_EQ(replay.done.size(), 1u);
   EXPECT_EQ(replay.done.count("a"), 1u);
   EXPECT_EQ(replay.done.count("evil"), 0u);  // bad checksum never trusted
+  EXPECT_TRUE(replay.in_flight.empty());     // nameless start never applied
   cleanup_journal_dir(dir);
 }
 

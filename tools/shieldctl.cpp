@@ -37,7 +37,6 @@
 #include "kernel/kernel_ops.h"
 #include "kernel/stats_report.h"
 #include "shieldsim.h"
-#include "sim/rng.h"
 #include "telemetry/registry.h"
 
 using namespace sim::literals;
@@ -338,10 +337,6 @@ int cmd_run(const RunArgs& a) {
     ro.flight_dump = config::ScenarioRunner::Options::FlightDump::kWorst;
   }
 
-  const auto seed_of = [&](const config::ScenarioSpec& s) {
-    return sim::derive_seed(a.seed, sim::SeedDomain::kBatch, s.name);
-  };
-
   // Write-ahead journal: replay what an earlier (possibly killed) run of
   // this campaign already finished, adopt those outcomes, re-run the rest.
   std::unique_ptr<config::CampaignJournal> journal;
@@ -379,7 +374,7 @@ int cmd_run(const RunArgs& a) {
     for (std::size_t i = 0; i < specs.size(); ++i) {
       const auto it = replay.done.find(specs[i].name);
       if (it != replay.done.end() && it->second.digest == specs[i].digest() &&
-          it->second.seed == seed_of(specs[i])) {
+          it->second.seed == config::batch_seed(a.seed, specs[i])) {
         adopted[i] = it->second.outcome;
         adopted_count++;
       } else if (replay.in_flight.count(specs[i].name) > 0) {
@@ -437,7 +432,8 @@ int cmd_run(const RunArgs& a) {
         };
         obs.finished = [&](std::size_t, const config::ScenarioSpec& s,
                            const config::RunOutcome& out) {
-          journal->write_done(s.name, s.digest(), seed_of(s), out);
+          journal->write_done(s.name, s.digest(), config::batch_seed(a.seed, s),
+                              out);
         };
       }
       fresh = runner.run_batch_report(pending, a.seed, obs);

@@ -403,6 +403,80 @@ assert out["execution"]["signal"] == 11, out
 assert out["execution"]["host_fault"] == "host-crash", out
 EOF
 
+# Hostile stores: both on-disk stores must survive records that pass their
+# checksum yet are missing required fields. Finish a journaled campaign that
+# also populates a disk cache, then drop fig7's done record (so the rerun
+# re-runs fig7 through the cache), append a sealed journal record with no
+# name/digest/seed/outcome, and re-seal fig7's cache entry around a
+# histogram summary that claims one sample but carries none of its moments.
+# The rerun must exit 0, report the corrupt journal line, quarantine and
+# recompute the cache entry, and merge byte-identically.
+rm -rf "${cachedir}/camp-hostile" "${cachedir}/cache-hostile"
+./build/tools/shieldctl run --all --smoke --jobs "${jobs}" \
+  --journal "${cachedir}/camp-hostile" --cache-dir "${cachedir}/cache-hostile" \
+  > /dev/null
+cp "${cachedir}/camp-hostile/merged.json" "${cachedir}/hostile-baseline.json"
+python3 - "${cachedir}/camp-hostile" "${cachedir}/cache-hostile" <<'EOF'
+import json, os, sys
+journal_dir, cache_dir = sys.argv[1], sys.argv[2]
+
+class Raw(str):
+    """A number token kept verbatim, so re-sealing matches the C++ writer."""
+
+def compact(v):
+    if isinstance(v, Raw):
+        return str(v)
+    if v is True or v is False:
+        return "true" if v else "false"
+    if v is None:
+        return "null"
+    if isinstance(v, str):
+        return json.dumps(v)
+    if isinstance(v, list):
+        return "[" + ",".join(compact(x) for x in v) + "]"
+    return "{" + ",".join(json.dumps(k) + ":" + compact(x)
+                          for k, x in v.items()) + "}"
+
+def seal(fmt, field, payload):
+    h = 14695981039346656037  # json::content_digest: FNV-1a over compact form
+    for b in compact(payload).encode():
+        h = ((h ^ b) * 1099511628211) % (1 << 64)
+    return {"format": fmt, "checksum": "%016x" % h, field: payload}
+
+def load(text):
+    return json.loads(text, parse_float=Raw, parse_int=Raw)
+
+path = os.path.join(journal_dir, "journal.jsonl")
+kept, victim = [], None
+for line in open(path).read().splitlines():
+    rec = load(line)["record"]
+    if rec.get("event") == "done" and rec.get("name") == "fig7":
+        victim = rec
+        continue
+    kept.append(line)
+assert victim is not None, "fig7 never finished"
+kept.append(compact(seal("campaign-journal-v1", "record", {"event": "start"})))
+open(path, "w").write("\n".join(kept) + "\n")
+
+entry = os.path.join(cache_dir, "%s-%s-0.01-es1-fork1.json"
+                     % (victim["digest"], victim["seed"]))
+result = load(open(entry).read())["result"]
+result["probe"]["primary"]["summary"] = {"n": Raw("1")}
+open(entry, "w").write(compact(seal("shieldsim-cache-v1", "result", result)))
+EOF
+./build/tools/shieldctl run --all --smoke --jobs "${jobs}" \
+  --journal "${cachedir}/camp-hostile" --cache-dir "${cachedir}/cache-hostile" \
+  --report "${cachedir}/hostile-report.json" \
+  > /dev/null 2> "${cachedir}/hostile-err.txt"
+grep -q "skipped 1 corrupt line" "${cachedir}/hostile-err.txt"
+python3 - "${cachedir}/hostile-report.json" <<'EOF'
+import json, sys
+report = json.load(open(sys.argv[1]))
+assert report["ok"] == report["total"] > 0, report
+assert report["cache_entries_recomputed"] == 1, report
+EOF
+cmp "${cachedir}/camp-hostile/merged.json" "${cachedir}/hostile-baseline.json"
+
 # ThreadSanitizer pass over the concurrency-bearing layers: the parallel
 # runner/sweeper, the journal's locked writers and the supervisor (which
 # forks; die_after_fork=0 lets TSan tolerate the multi-threaded parent).
