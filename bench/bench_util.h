@@ -27,7 +27,7 @@ struct Options {
   bool trace = false;
   /// Write the latency report (counters + worst chains) as JSON to this
   /// path (a per-case suffix is appended by multi-case benches). Implies
-  /// --trace. Consumed by tools/trace_report.py.
+  /// --trace. Rendered by `tools/report.py latency`.
   std::string trace_json;
 
   static void usage(const char* argv0, std::FILE* to) {

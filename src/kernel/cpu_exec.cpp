@@ -246,7 +246,6 @@ void Kernel::finish_switch(hw::CpuId cpu) {
     tracer.mark(next->chain, sim::SegmentKind::kContextSwitch, cpu,
                 engine_.now());
   }
-  trace(sim::TraceCategory::kSched, cpu, "switch to " + next->name);
 
   unmask_irqs(cpu);
   if (flush_one_pending(cpu)) return;  // irq exit path resumes the task
@@ -287,7 +286,6 @@ void Kernel::preempt_current(hw::CpuId cpu) {
   Task* t = cs.current;
   cs.current = nullptr;
   t->state = TaskState::kReady;
-  trace(sim::TraceCategory::kSched, cpu, "preempt " + t->name);
   // Requeue; placement may move it to another allowed CPU.
   const hw::CpuId target = sched_->select_cpu(
       *t, t->effective_affinity, [this](hw::CpuId c) { return cpu_idle(c); });
@@ -602,7 +600,6 @@ void Kernel::finish_syscall(hw::CpuId cpu) {
                      t.irq_disable_depth == 0,
                  "syscall exited holding a lock");
   t.in_syscall = false;
-  t.syscall_name.clear();
   t.program.clear();
   t.pc = 0;
   t.syscalls++;
@@ -665,7 +662,6 @@ void Kernel::next_action(hw::CpuId cpu) {
   }
   if (auto* s = std::get_if<SyscallAction>(&action)) {
     t.in_syscall = true;
-    t.syscall_name = std::move(s->name);
     // Wrap with the fixed entry/exit path costs.
     KernelProgram prog;
     prog.reserve(s->program.size() + 2);
@@ -674,7 +670,6 @@ void Kernel::next_action(hw::CpuId cpu) {
     prog.push_back(OpWork{cfg_.syscall_exit_cost, 0.3});
     t.program = std::move(prog);
     t.pc = 0;
-    trace(sim::TraceCategory::kSyscall, cpu, t.name + ": " + t.syscall_name);
     run_program(cpu);
     return;
   }
@@ -690,7 +685,6 @@ void Kernel::next_action(hw::CpuId cpu) {
     t.chain = {};
   }
   cs.current = nullptr;
-  trace(sim::TraceCategory::kSched, cpu, t.name + " exited");
   begin_switch(cpu);
 }
 
@@ -748,8 +742,6 @@ bool Kernel::acquire_lock(hw::CpuId cpu, Task& t, LockId id, bool bkl_reacquire)
   engine_.chain_tracer().mark(t.chain, sim::SegmentKind::kKernelExit, cpu,
                               engine_.now());
   mem_.set_traffic(cpu, kSpinTraffic);
-  trace(sim::TraceCategory::kLock, cpu,
-        t.name + " spins on " + to_string(id));
   return false;
 }
 

@@ -229,7 +229,6 @@ void OobPipeline::advance(Context& c) {
         // Return to user space. The stage's syscall path is its own trap
         // gate: no in-band entry/exit work is charged.
         t.in_syscall = false;
-        t.syscall_name.clear();
         t.program.clear();
         t.pc = 0;
         t.syscalls++;
@@ -277,7 +276,6 @@ void OobPipeline::advance(Context& c) {
     }
     if (auto* s = std::get_if<SyscallAction>(&action)) {
       t.in_syscall = true;
-      t.syscall_name = std::move(s->name);
       t.program = std::move(s->program);
       t.pc = 0;
       continue;

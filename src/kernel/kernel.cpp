@@ -131,10 +131,6 @@ bool Kernel::cpu_busy(hw::CpuId id) const {
   return cs.current != nullptr || !cs.irq_frames.empty() || cs.switching;
 }
 
-void Kernel::trace(sim::TraceCategory cat, hw::CpuId cpu, std::string msg) {
-  engine_.trace().record(engine_.now(), cat, cpu, std::move(msg));
-}
-
 // ---- setup ------------------------------------------------------------------
 
 Task& Kernel::create_task(TaskParams params, std::unique_ptr<Behavior> behavior) {
@@ -327,7 +323,6 @@ void Kernel::reapply_affinities() {
           (t.in_user_mode() || kernel_preemptible(t))) {
         preempt_current(t.cpu);
       }
-      trace(sim::TraceCategory::kShield, t.cpu, "migrating " + t.name + " off");
     }
   }
 }

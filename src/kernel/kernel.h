@@ -306,7 +306,6 @@ class Kernel {
   void preempt_enable_check(hw::CpuId cpu);
   [[nodiscard]] bool kernel_preemptible(const Task& t) const;
   CpuState& cpu_mut(hw::CpuId id);
-  void trace(sim::TraceCategory cat, hw::CpuId cpu, std::string msg);
   void account_segment(hw::CpuId cpu, sim::Duration elapsed);
   void wake_task(Task& t);
   /// Adjust per-CPU interrupt masking depth; auditor hooks fire on the

@@ -105,7 +105,6 @@ struct Task {
 
   // -- in-kernel execution state --
   bool in_syscall = false;
-  std::string syscall_name;
   KernelProgram program;
   std::size_t pc = 0;
   std::vector<TaskFrame> frames;

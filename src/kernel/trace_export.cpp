@@ -3,28 +3,13 @@
 #include <sstream>
 
 #include "kernel/kernel.h"
+#include "telemetry/timeline.h"
 
 namespace kernel {
 
 namespace {
 
-// All strings in the report are model-generated identifiers (lock names,
-// "irq8", task names); escape the JSON specials anyway so a hostile label
-// cannot break the document.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
+using telemetry::json_escape;
 
 void append_chain(std::ostringstream& os, const sim::LatencyChain& c) {
   os << "{\"origin\":\"" << json_escape(c.origin) << "\",\"start_ns\":"
@@ -72,9 +57,8 @@ std::string latency_report_json(Kernel& k,
        << ",\"hold_ns\":" << l.total_hold() << "}";
   }
   const sim::ChainTracer& tracer = k.engine().chain_tracer();
-  os << "],\"tracer\":{\"compiled_in\":"
-     << (sim::ChainTracer::compiled_in() ? "true" : "false")
-     << ",\"enabled\":" << (tracer.enabled() ? "true" : "false")
+  os << "],\"tracer\":{\"enabled\":"
+     << (tracer.enabled() ? "true" : "false")
      << ",\"opened\":" << tracer.opened()
      << ",\"completed\":" << tracer.completed()
      << ",\"abandoned\":" << tracer.abandoned()

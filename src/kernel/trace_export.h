@@ -1,7 +1,7 @@
 // JSON export of the latency-tracing state: per-CPU counters, per-lock
 // wait/hold totals, chain-tracer statistics, and any completed latency
 // chains the caller collected (typically each rt test's worst-case sample).
-// tools/trace_report.py consumes this format.
+// `tools/report.py latency` renders this format.
 #pragma once
 
 #include <string>

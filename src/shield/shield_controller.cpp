@@ -17,8 +17,6 @@ ShieldController::ShieldController(kernel::Kernel& kernel) : kernel_(kernel) {
 
 void ShieldController::set_process_shield(hw::CpuMask mask) {
   procs_ = mask & kernel_.topology().all_cpus();
-  kernel_.engine().trace().record(kernel_.now(), sim::TraceCategory::kShield,
-                                  -1, "procs shield = " + procs_.to_hex());
   kernel_.set_process_shield_mask(procs_);
   kernel_.reapply_affinities();
 }
@@ -33,8 +31,6 @@ void ShieldController::apply_irq_shield() {
 
 void ShieldController::set_irq_shield(hw::CpuMask mask) {
   irqs_ = mask & kernel_.topology().all_cpus();
-  kernel_.engine().trace().record(kernel_.now(), sim::TraceCategory::kShield,
-                                  -1, "irqs shield = " + irqs_.to_hex());
   apply_irq_shield();
 }
 
@@ -47,8 +43,6 @@ void ShieldController::apply_ltmr_shield() {
 
 void ShieldController::set_ltmr_shield(hw::CpuMask mask) {
   ltmr_ = mask & kernel_.topology().all_cpus();
-  kernel_.engine().trace().record(kernel_.now(), sim::TraceCategory::kShield,
-                                  -1, "ltmr shield = " + ltmr_.to_hex());
   apply_ltmr_shield();
 }
 

@@ -2,7 +2,9 @@
 //
 // Everything in the model — hardware, kernel, workloads — schedules
 // callbacks here. Time only advances between events; callbacks observe a
-// frozen `now()`.
+// frozen `now()`. The engine also owns the passive observers every layer
+// reports into: the latency-chain tracer, the metric registry and the
+// flight recorder. None of them can perturb the event stream.
 #pragma once
 
 #include <cstdint>
@@ -64,10 +66,6 @@ class Engine {
   /// checkpointed sequences unchanged.
   void reseed(std::uint64_t seed) { rng_ = Rng(seed); }
 
-  /// Event trace for debugging and test assertions.
-  Trace& trace() { return trace_; }
-  const Trace& trace() const { return trace_; }
-
   /// Structured latency-chain tracer (see sim/trace.h). Off by default;
   /// enabling it never perturbs the event stream.
   ChainTracer& chain_tracer() { return chain_tracer_; }
@@ -102,7 +100,6 @@ class Engine {
   Time now_ = 0;
   EventQueue queue_;
   Rng rng_;
-  Trace trace_;
   ChainTracer chain_tracer_;
   telemetry::Registry telemetry_;
   telemetry::FlightRecorder flight_recorder_;

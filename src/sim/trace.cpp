@@ -5,61 +5,6 @@
 
 namespace sim {
 
-const char* to_string(TraceCategory c) {
-  switch (c) {
-    case TraceCategory::kSched: return "sched";
-    case TraceCategory::kIrq: return "irq";
-    case TraceCategory::kSoftirq: return "softirq";
-    case TraceCategory::kLock: return "lock";
-    case TraceCategory::kSyscall: return "syscall";
-    case TraceCategory::kShield: return "shield";
-    case TraceCategory::kDevice: return "device";
-    case TraceCategory::kWorkload: return "workload";
-  }
-  return "?";
-}
-
-void Trace::enable(std::size_t capacity) {
-  enabled_ = true;
-  capacity_ = capacity;
-}
-
-void Trace::record(Time at, TraceCategory category, int cpu, std::string message) {
-  if (!enabled_) return;
-  if (records_.size() >= capacity_) records_.pop_front();
-  records_.push_back(TraceRecord{at, category, cpu, std::move(message)});
-}
-
-std::vector<TraceRecord> Trace::by_category(TraceCategory c) const {
-  std::vector<TraceRecord> out;
-  for (const auto& r : records_) {
-    if (r.category == c) out.push_back(r);
-  }
-  return out;
-}
-
-std::size_t Trace::count(TraceCategory c) const {
-  std::size_t n = 0;
-  for (const auto& r : records_) {
-    if (r.category == c) ++n;
-  }
-  return n;
-}
-
-std::string Trace::dump() const {
-  std::ostringstream os;
-  for (const auto& r : records_) {
-    os << format_duration(r.at) << " [" << to_string(r.category) << "]";
-    if (r.cpu >= 0) os << " cpu" << r.cpu;
-    os << " " << r.message << "\n";
-  }
-  return os.str();
-}
-
-// ---------------------------------------------------------------------------
-// Latency chains
-// ---------------------------------------------------------------------------
-
 const char* to_string(SegmentKind k) {
   switch (k) {
     case SegmentKind::kIrqRaise: return "irq-raise";
@@ -102,8 +47,6 @@ std::string LatencyChain::format() const {
   }
   return os.str();
 }
-
-#if SHIELDSIM_CHAIN_TRACE
 
 void ChainTracer::enable(std::size_t max_live) {
   enabled_ = true;
@@ -200,7 +143,5 @@ void ChainTracer::abandon(ChainId id) {
   release(static_cast<std::uint32_t>(id.raw >> 32));
   ++abandoned_;
 }
-
-#endif  // SHIELDSIM_CHAIN_TRACE
 
 }  // namespace sim

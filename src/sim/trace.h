@@ -1,89 +1,26 @@
-// Lightweight event trace.
+// Latency-chain tracing.
 //
-// Two cooperating facilities live here:
+// `ChainTracer` records structured latency chains. A chain opens when a
+// device raises an interrupt (or a kernel timer expires) and follows the
+// wakeup through the kernel: irq-raise → handler → wakeup → runqueue wait →
+// context switch → kernel exit, with spin-wait intervals split out by lock.
+// Closing a chain yields a `LatencyChain` whose segments partition
+// [start, end] exactly, so a worst-case histogram sample can be decomposed
+// into the kernel paths that produced it (§6.2's analysis of why /dev/rtc
+// is slow and the RCIM ioctl path is not).
 //
-//  * `Trace` — a bounded ring of (time, category, message) records. Tests
-//    assert on it; debugging dumps it.
-//  * `ChainTracer` — structured latency chains. A chain opens when a device
-//    raises an interrupt (or a kernel timer expires) and follows the wakeup
-//    through the kernel: irq-raise → handler → wakeup → runqueue wait →
-//    context switch → kernel exit, with spin-wait intervals split out by
-//    lock. Closing a chain yields a `LatencyChain` whose segments partition
-//    [start, end] exactly, so a worst-case histogram sample can be
-//    decomposed into the kernel paths that produced it (§6.2's analysis of
-//    why /dev/rtc is slow and the RCIM ioctl path is not).
-//
-// Both are off by default so the hot paths cost one branch. ChainTracer can
-// additionally be compiled out entirely (-DSHIELDSIM_CHAIN_TRACE=0); every
-// emit site goes through an id validity check that is constant-false in
-// that configuration.
+// The tracer is off by default, so the hot paths cost one id validity
+// check at every emit site.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "sim/time.h"
 
-#ifndef SHIELDSIM_CHAIN_TRACE
-#define SHIELDSIM_CHAIN_TRACE 1
-#endif
-
 namespace sim {
-
-enum class TraceCategory : std::uint8_t {
-  kSched,     ///< context switches, wakeups, migrations
-  kIrq,       ///< hardirq entry/exit, IPIs
-  kSoftirq,   ///< bottom-half execution
-  kLock,      ///< spinlock contention
-  kSyscall,   ///< syscall entry/exit
-  kShield,    ///< shield mask changes
-  kDevice,    ///< device activity
-  kWorkload,  ///< workload generator activity
-};
-
-const char* to_string(TraceCategory c);
-
-struct TraceRecord {
-  Time at;
-  TraceCategory category;
-  int cpu;  ///< -1 when not CPU-specific
-  std::string message;
-};
-
-class Trace {
- public:
-  /// Enable recording, keeping at most `capacity` most-recent records.
-  void enable(std::size_t capacity = 65536);
-  void disable() { enabled_ = false; }
-  [[nodiscard]] bool enabled() const { return enabled_; }
-
-  void record(Time at, TraceCategory category, int cpu, std::string message);
-
-  [[nodiscard]] const std::deque<TraceRecord>& records() const { return records_; }
-
-  /// All records of one category, for test assertions.
-  [[nodiscard]] std::vector<TraceRecord> by_category(TraceCategory c) const;
-
-  /// Number of records of one category.
-  [[nodiscard]] std::size_t count(TraceCategory c) const;
-
-  void clear() { records_.clear(); }
-
-  /// Render the trace as text (one line per record).
-  [[nodiscard]] std::string dump() const;
-
- private:
-  bool enabled_ = false;
-  std::size_t capacity_ = 0;
-  std::deque<TraceRecord> records_;
-};
-
-// ---------------------------------------------------------------------------
-// Latency chains
-// ---------------------------------------------------------------------------
 
 /// What a stretch of a latency chain was spent on. One kind per segment;
 /// a chain's segments partition [start, end] in order.
@@ -137,21 +74,15 @@ struct LatencyChain {
   [[nodiscard]] std::string format() const;
 };
 
-/// Records latency chains. Runtime-toggleable (`enable`/`disable`) and
-/// compile-time removable (SHIELDSIM_CHAIN_TRACE=0). Emit sites follow the
-/// pattern: `open()` returns an invalid id when disabled, and `mark`/
-/// `close`/`abandon` on an invalid id are single-branch no-ops — so a
-/// disabled tracer never allocates and never perturbs the simulation.
+/// Records latency chains. Runtime-toggleable (`enable`/`disable`). Emit
+/// sites follow the pattern: `open()` returns an invalid id when disabled,
+/// and `mark`/`close`/`abandon` on an invalid id are single-branch no-ops —
+/// so a disabled tracer never allocates and never perturbs the simulation.
 ///
 /// The tracer only *reads* simulation time; it never schedules events or
 /// draws random numbers, so enabling it cannot change the event stream.
 class ChainTracer {
  public:
-  /// True when chain tracing was compiled in. When false, enable() is a
-  /// no-op and open() always returns an invalid id.
-  static constexpr bool compiled_in() { return SHIELDSIM_CHAIN_TRACE != 0; }
-
-#if SHIELDSIM_CHAIN_TRACE
   /// Start recording. At most `max_live` chains may be in flight; opens
   /// beyond that are dropped (counted in dropped()).
   void enable(std::size_t max_live = 1024);
@@ -218,25 +149,6 @@ class ChainTracer {
   std::uint64_t completed_ = 0;
   std::uint64_t abandoned_ = 0;
   std::uint64_t dropped_ = 0;
-#else
-  // Compiled-out stubs: one constant-false branch at every emit site.
-  void enable(std::size_t = 1024) {}
-  void disable() {}
-  [[nodiscard]] bool enabled() const { return false; }
-  ChainId open(const std::string&, Time) { return {}; }
-  void mark(ChainId, SegmentKind, int, Time, std::string = {}) {}
-  std::optional<LatencyChain> close(ChainId, SegmentKind, int, Time) {
-    return std::nullopt;
-  }
-  void abandon(ChainId) {}
-  [[nodiscard]] bool alive(ChainId) const { return false; }
-  [[nodiscard]] std::uint64_t opened() const { return 0; }
-  [[nodiscard]] std::uint64_t completed() const { return 0; }
-  [[nodiscard]] std::uint64_t abandoned() const { return 0; }
-  [[nodiscard]] std::uint64_t dropped() const { return 0; }
-  [[nodiscard]] std::size_t live() const { return 0; }
-  void reset_stats() {}
-#endif
 };
 
 }  // namespace sim

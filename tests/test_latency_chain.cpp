@@ -36,7 +36,6 @@ void expect_well_formed(const sim::LatencyChain& c) {
 }  // namespace
 
 TEST(LatencyChain, RealfeelWorstSampleDecomposesExactly) {
-  if (!sim::ChainTracer::compiled_in()) GTEST_SKIP();
   auto p = redhawk_rig(301);
   p->engine().chain_tracer().enable();
   rt::RealfeelTest::Params rp;
@@ -62,7 +61,6 @@ TEST(LatencyChain, RealfeelWorstSampleDecomposesExactly) {
 }
 
 TEST(LatencyChain, RealfeelUnderStressStillPartitionsExactly) {
-  if (!sim::ChainTracer::compiled_in()) GTEST_SKIP();
   auto p = vanilla_rig(302);
   workload::StressKernel{}.install(*p);
   p->engine().chain_tracer().enable();
@@ -87,7 +85,6 @@ TEST(LatencyChain, RealfeelUnderStressStillPartitionsExactly) {
 }
 
 TEST(LatencyChain, RcimWorstSampleDecomposesWithoutBkl) {
-  if (!sim::ChainTracer::compiled_in()) GTEST_SKIP();
   auto p = redhawk_rig(303);
   p->engine().chain_tracer().enable();
   rt::RcimTest::Params rp;
@@ -114,7 +111,6 @@ TEST(LatencyChain, RcimWorstSampleDecomposesWithoutBkl) {
 }
 
 TEST(LatencyChain, CyclictestChainsOriginateAtTheKernelTimer) {
-  if (!sim::ChainTracer::compiled_in()) GTEST_SKIP();
   auto p = redhawk_rig(304);
   p->engine().chain_tracer().enable();
   rt::CyclicTest::Params cp;
@@ -164,7 +160,6 @@ TEST(LatencyChain, ProcLatencyFilesExposePerCpuCounters) {
 }
 
 TEST(LatencyChain, JsonReportCarriesCountersAndChains) {
-  if (!sim::ChainTracer::compiled_in()) GTEST_SKIP();
   auto p = redhawk_rig(306);
   p->engine().chain_tracer().enable();
   rt::RealfeelTest::Params rp;

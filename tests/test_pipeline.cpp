@@ -47,7 +47,6 @@ config::ScenarioRunner::Options smoke_options() {
 // sample the auditor also saw — agreement by construction, not by two
 // call sites staying in sync.
 TEST(PipelineBookkeeping, ChainRaiseSegmentIsAnAuditorDispatchSample) {
-  if (!sim::ChainTracer::compiled_in()) GTEST_SKIP();
   auto p = redhawk_rig(311);
   p->engine().chain_tracer().enable();
   rt::RealfeelTest::Params rp;

@@ -449,12 +449,8 @@ TEST(TelemetryIntegration, ResetLeavesNoResidueInAnyRegistrySeries) {
   p.engine().flight_recorder().enable(64);
   p.run_for(100_ms);
 
-  // The first window actually exercised the residue carriers. (In a
-  // -DSHIELDSIM_CHAIN_TRACE=OFF build the tracer is a stub that never
-  // opens a chain; the rest of the audit still applies.)
-  if (sim::ChainTracer::compiled_in()) {
-    EXPECT_GT(p.engine().chain_tracer().opened(), 0u);
-  }
+  // The first window actually exercised the residue carriers.
+  EXPECT_GT(p.engine().chain_tracer().opened(), 0u);
   EXPECT_GT(p.engine().flight_recorder().total_recorded(), 0u);
 
   p.kernel().reset_latency_counters();

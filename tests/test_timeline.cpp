@@ -207,9 +207,6 @@ TEST(Blame, EveryBuiltinSpecPartitions) {
   // The acceptance invariant: for every builtin spec run with blame on,
   // every retained worst sample is *fully* explained — its cause
   // nanoseconds sum exactly to the sample total, never approximately.
-  if (!sim::ChainTracer::compiled_in()) {
-    GTEST_SKIP() << "chain tracing compiled out (SHIELDSIM_CHAIN_TRACE=0)";
-  }
   config::ScenarioRunner::Options opt;
   opt.scale = 0.01;  // smoke scale: full coverage, bounded runtime
   opt.cache = false;
@@ -301,9 +298,6 @@ TEST(FlightDump, AttachesToSuccessfulRuns) {
 }
 
 TEST(FlightDump, WorstWindowModeMarksItsTrigger) {
-  if (!sim::ChainTracer::compiled_in()) {
-    GTEST_SKIP() << "worst-window trigger needs probe chains";
-  }
   config::ScenarioRunner::Options opt;
   opt.scale = 0.01;
   opt.cache = false;

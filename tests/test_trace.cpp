@@ -1,72 +1,23 @@
-// The event trace: ring-buffer mechanics and the kernel's emissions.
+// The kernel's scheduling records in the flight ring, and the latency-chain
+// tracer's mechanics.
 #include <gtest/gtest.h>
 
 #include "kernel_test_util.h"
 #include "sim/trace.h"
+#include "telemetry/flight_recorder.h"
 
 using namespace testutil;
 using namespace sim::literals;
 
-TEST(Trace, DisabledByDefaultCostsNothing) {
-  sim::Trace t;
-  EXPECT_FALSE(t.enabled());
-  t.record(1, sim::TraceCategory::kSched, 0, "ignored");
-  EXPECT_TRUE(t.records().empty());
-}
-
-TEST(Trace, RecordsWhenEnabled) {
-  sim::Trace t;
-  t.enable();
-  t.record(5, sim::TraceCategory::kIrq, 1, "eth0");
-  ASSERT_EQ(t.records().size(), 1u);
-  EXPECT_EQ(t.records().front().at, 5u);
-  EXPECT_EQ(t.records().front().cpu, 1);
-  EXPECT_EQ(t.records().front().message, "eth0");
-}
-
-TEST(Trace, RingBufferDropsOldest) {
-  sim::Trace t;
-  t.enable(/*capacity=*/3);
-  for (int i = 0; i < 5; ++i) {
-    t.record(static_cast<sim::Time>(i), sim::TraceCategory::kSched, 0,
-             std::to_string(i));
-  }
-  ASSERT_EQ(t.records().size(), 3u);
-  EXPECT_EQ(t.records().front().message, "2");
-  EXPECT_EQ(t.records().back().message, "4");
-}
-
-TEST(Trace, FilterByCategory) {
-  sim::Trace t;
-  t.enable();
-  t.record(1, sim::TraceCategory::kSched, 0, "a");
-  t.record(2, sim::TraceCategory::kIrq, 0, "b");
-  t.record(3, sim::TraceCategory::kSched, 1, "c");
-  EXPECT_EQ(t.count(sim::TraceCategory::kSched), 2u);
-  EXPECT_EQ(t.by_category(sim::TraceCategory::kIrq).size(), 1u);
-}
-
-TEST(Trace, DumpIsHumanReadable) {
-  sim::Trace t;
-  t.enable();
-  t.record(1500, sim::TraceCategory::kShield, 1, "mask=2");
-  const std::string s = t.dump();
-  EXPECT_NE(s.find("[shield]"), std::string::npos);
-  EXPECT_NE(s.find("cpu1"), std::string::npos);
-  EXPECT_NE(s.find("mask=2"), std::string::npos);
-}
-
 TEST(Trace, KernelEmitsSchedulingRecords) {
   auto p = vanilla_rig(171);
-  p->engine().trace().enable();
-  spawn_hog(p->kernel(), "traced");
+  p->engine().flight_recorder().enable(1 << 16);
+  const kernel::Task& hog = spawn_hog(p->kernel(), "traced");
   p->boot();
   p->run_for(200_ms);
-  auto& t = p->engine().trace();
-  EXPECT_GT(t.count(sim::TraceCategory::kSched), 0u);
   bool saw_switch = false;
-  for (const auto& r : t.by_category(sim::TraceCategory::kSched)) {
-    if (r.message.find("switch to traced") != std::string::npos) {
+  for (const auto& e : p->engine().flight_recorder().entries()) {
+    if (e.kind == telemetry::EventKind::kCtxSwitch && e.a == hog.pid) {
       saw_switch = true;
     }
   }
@@ -74,8 +25,7 @@ TEST(Trace, KernelEmitsSchedulingRecords) {
 }
 
 // ---------------------------------------------------------------------------
-// ChainTracer unit tests. When the tracer is compiled out these skip: the
-// stub API still links (tested by the build itself), it just records nothing.
+// ChainTracer unit tests.
 // ---------------------------------------------------------------------------
 
 TEST(ChainTracer, DisabledOpenReturnsInvalidId) {
@@ -90,7 +40,6 @@ TEST(ChainTracer, DisabledOpenReturnsInvalidId) {
 }
 
 TEST(ChainTracer, SegmentsPartitionTheChainExactly) {
-  if (!sim::ChainTracer::compiled_in()) GTEST_SKIP();
   sim::ChainTracer t;
   t.enable();
   const sim::ChainId id = t.open("irq8", 1'000);
@@ -119,7 +68,6 @@ TEST(ChainTracer, SegmentsPartitionTheChainExactly) {
 }
 
 TEST(ChainTracer, BackwardMarkIsClampedToKeepPartitionExact) {
-  if (!sim::ChainTracer::compiled_in()) GTEST_SKIP();
   sim::ChainTracer t;
   t.enable();
   const sim::ChainId id = t.open("ktimer", 1'000);
@@ -135,7 +83,6 @@ TEST(ChainTracer, BackwardMarkIsClampedToKeepPartitionExact) {
 }
 
 TEST(ChainTracer, StaleIdsAreRejectedAfterSlotReuse) {
-  if (!sim::ChainTracer::compiled_in()) GTEST_SKIP();
   sim::ChainTracer t;
   t.enable();
   const sim::ChainId first = t.open("irq1", 10);
@@ -154,7 +101,6 @@ TEST(ChainTracer, StaleIdsAreRejectedAfterSlotReuse) {
 }
 
 TEST(ChainTracer, LiveCapDropsExcessOpens) {
-  if (!sim::ChainTracer::compiled_in()) GTEST_SKIP();
   sim::ChainTracer t;
   t.enable(/*max_live=*/2);
   const sim::ChainId a = t.open("a", 1);
@@ -169,7 +115,6 @@ TEST(ChainTracer, LiveCapDropsExcessOpens) {
 }
 
 TEST(ChainTracer, DisableAbandonsChainsInFlight) {
-  if (!sim::ChainTracer::compiled_in()) GTEST_SKIP();
   sim::ChainTracer t;
   t.enable();
   const sim::ChainId a = t.open("a", 1);
@@ -178,26 +123,4 @@ TEST(ChainTracer, DisableAbandonsChainsInFlight) {
   EXPECT_EQ(t.abandoned(), 1u);
   EXPECT_EQ(t.live(), 0u);
   EXPECT_FALSE(t.open("late", 2).valid());
-}
-
-TEST(Trace, KernelEmitsSyscallAndShieldRecords) {
-  auto p = redhawk_rig(172);
-  p->engine().trace().enable();
-  auto& k = p->kernel();
-  kernel::ProgramBuilder b;
-  b.work(1_us, 0.3);
-  spawn_scripted(k, {.name = "caller"},
-                 {kernel::SyscallAction{"mysyscall", std::move(b).build()}});
-  auto& hog = spawn_hog(k, "victim");
-  (void)hog;
-  p->boot();
-  p->run_for(100_ms);
-  p->shield().set_process_shield(hw::CpuMask::single(1));
-  p->run_for(100_ms);
-  auto& t = p->engine().trace();
-  bool saw_syscall = false;
-  for (const auto& r : t.by_category(sim::TraceCategory::kSyscall)) {
-    if (r.message.find("mysyscall") != std::string::npos) saw_syscall = true;
-  }
-  EXPECT_TRUE(saw_syscall);
 }

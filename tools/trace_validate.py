@@ -13,7 +13,8 @@ simulator's track layout invariants hold:
   * with --expect-oob, at least one out-of-band stage event is present
     (mech-* oob scenarios must show their oob stage on the timeline).
 
-Exit 0 when the document passes, 1 with a diagnostic when it does not.
+Exit 0 when the document passes, 1 with a diagnostic when it does not,
+including valid JSON of the wrong shape.
 Stdlib only; no third-party dependencies.
 
 Usage: tools/trace_validate.py TRACE.json [--expect-oob]
@@ -47,7 +48,17 @@ def main(argv):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         return fail(f"{path}: not valid JSON ({e})")
+    try:
+        return check(path, doc, expect_oob)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
+        # Valid JSON of the wrong shape (a non-object otherData, a string
+        # ts, ...) is a diagnostic too, never a traceback.
+        cause = f"missing field {e}" if isinstance(e, KeyError) else str(e)
+        return fail(f"{path}: malformed trace document ({cause})")
 
+
+def check(path, doc, expect_oob):
+    """Validate one decoded document; returns the exit status."""
     if not isinstance(doc, dict) or not isinstance(
             doc.get("traceEvents"), list):
         return fail(f"{path}: no traceEvents array — not a Chrome Trace "

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1 verify flow: the plain build + tests, then the same tests under
+# Tier-1 verify flow, three builds: the plain build + tests + end-to-end
+# CLI smokes (registry, cache repair, telemetry, reporters, trace export,
+# blame, campaigns and their chaos gates), then the same tests under
 # ASan+UBSan so the calendar's slot reuse and the threaded bench
-# SweepRunner stay sanitizer-clean, then a build with the chain tracer
-# compiled out (-DSHIELDSIM_CHAIN_TRACE=0) so the stubbed emit sites keep
-# compiling and the figure pipeline works without the tracer.
+# SweepRunner stay sanitizer-clean, then ThreadSanitizer over the
+# concurrency-bearing suites.
 # ASan aborts on the first finding (-fno-sanitize-recover=all), so any
 # sanitizer hit fails its test and set -e stops the script there.
 set -euo pipefail
@@ -50,8 +51,7 @@ EOF
 # Telemetry smoke: a fault scenario with the sampler forced on must yield a
 # Prometheus exposition that parses line-by-line and a timeline with points,
 # and a forced watchdog timeout must leave a flight-recorder dump in the
-# degraded-run report. Also the trace_report regression: empty/garbage chain
-# files exit 1 with a message instead of a traceback.
+# degraded-run report.
 ./build/tools/shieldctl stat faults-storm-shielded --smoke --prom \
   > "${cachedir}/telemetry.prom"
 ./build/tools/shieldctl stat faults-storm-shielded --smoke --json \
@@ -130,33 +130,45 @@ EOF
 }
 oob_faults ./build/tools/shieldctl "${cachedir}/oob-report.json"
 
-python3 tools/telemetry_report.py "${cachedir}/telemetry.json" > /dev/null
+python3 tools/report.py telemetry "${cachedir}/telemetry.json" > /dev/null
 
-# Reporter failure-path goldens: every reporter must reject empty input and
-# corrupt JSON with a named diagnostic (exit 1, never a traceback), and the
-# telemetry differ must refuse to compare across schema versions while
-# labelling series present in only one report as added/removed.
+# Reporter failure-path goldens: every subcommand of tools/report.py must
+# reject empty input, corrupt JSON and valid JSON of the wrong shape with a
+# named diagnostic (exit 1, never a traceback), as must the trace
+# validator, and the telemetry differ must refuse to compare across schema
+# versions while labelling series present in only one report as
+# added/removed.
 : > "${cachedir}/empty.json"
 printf '{"truncated' > "${cachedir}/corrupt.json"
-for tool in telemetry_report trace_report blame_report; do
-  if python3 "tools/${tool}.py" "${cachedir}/empty.json" \
-      2> "${cachedir}/reporter-err.txt"; then
-    echo "verify: ${tool} accepted an empty file"; exit 1
+printf '{"sim_time_ns":1,"chains":[{"label":"x"}]}' \
+  > "${cachedir}/shape-latency.json"
+printf '{"schema":"telemetry-v1","counters":{},"timeline":%s}' \
+  '{"series":["a"],"points":[{"d":[[0]]}]}' > "${cachedir}/shape-telemetry.json"
+printf '{"schema":"attribution-v1","bands":[{"band":"x","causes":{"a":5}}]}' \
+  > "${cachedir}/shape-blame.json"
+printf '{"traceEvents":[],"otherData":[1]}' > "${cachedir}/shape-trace.json"
+rejects() {  # rejects PATTERN COMMAND...: exit 1 with PATTERN, no traceback
+  local pattern="$1" rc=0; shift
+  "$@" > /dev/null 2> "${cachedir}/reporter-err.txt" || rc=$?
+  if [ "${rc}" -ne 1 ] || grep -q "Traceback" "${cachedir}/reporter-err.txt" ||
+      ! grep -q "${pattern}" "${cachedir}/reporter-err.txt"; then
+    echo "verify: exit ${rc}, want 1 with '${pattern}': $*"
+    cat "${cachedir}/reporter-err.txt"; exit 1
   fi
-  grep -q "empty" "${cachedir}/reporter-err.txt"
-  if python3 "tools/${tool}.py" "${cachedir}/corrupt.json" \
-      2> "${cachedir}/reporter-err.txt"; then
-    echo "verify: ${tool} accepted corrupt JSON"; exit 1
-  fi
-  grep -q "not valid JSON" "${cachedir}/reporter-err.txt"
+}
+for sub in latency telemetry blame; do
+  rejects "empty" python3 tools/report.py "${sub}" "${cachedir}/empty.json"
+  rejects "not valid JSON" python3 tools/report.py "${sub}" \
+    "${cachedir}/corrupt.json"
+  rejects "malformed" python3 tools/report.py "${sub}" \
+    "${cachedir}/shape-${sub}.json"
 done
+rejects "malformed" python3 tools/trace_validate.py \
+  "${cachedir}/shape-trace.json"
 printf '{"schema":"telemetry-v2","counters":{"a":1}}' \
   > "${cachedir}/telemetry-v2.json"
-if python3 tools/telemetry_report.py --diff "${cachedir}/telemetry.json" \
-    "${cachedir}/telemetry-v2.json" 2> "${cachedir}/reporter-err.txt"; then
-  echo "verify: telemetry_report diffed across schema versions"; exit 1
-fi
-grep -q "schema mismatch" "${cachedir}/reporter-err.txt"
+rejects "schema mismatch" python3 tools/report.py telemetry --diff \
+  "${cachedir}/telemetry.json" "${cachedir}/telemetry-v2.json"
 python3 - "${cachedir}" <<'EOF'
 import json, os, subprocess, sys
 d = sys.argv[1]
@@ -165,7 +177,7 @@ b = {"schema": "telemetry-v1", "counters": {"shared": 2, "only_b": 7}}
 json.dump(a, open(os.path.join(d, "diff-a.json"), "w"))
 json.dump(b, open(os.path.join(d, "diff-b.json"), "w"))
 out = subprocess.run(
-    [sys.executable, "tools/telemetry_report.py", "--diff",
+    [sys.executable, "tools/report.py", "telemetry", "--diff",
      os.path.join(d, "diff-a.json"), os.path.join(d, "diff-b.json")],
     capture_output=True, text=True, check=True).stdout
 assert "added" in out and "removed" in out, out
@@ -204,7 +216,7 @@ for sample in doc["worst"]:
         sample["origin"], accounted, sample["total_ns"])
 assert sum(b["samples"] for b in doc["bands"]) == doc["samples_attributed"]
 EOF
-python3 tools/blame_report.py "${cachedir}/blame.json" > /dev/null
+python3 tools/report.py blame "${cachedir}/blame.json" > /dev/null
 
 # Flight dumps on success: --flight-dump attaches a flight-recorder-v1 ring
 # to *successful* outcomes, in both full-ring and worst-sample-window
@@ -260,7 +272,7 @@ for key, total in roll["causes"].items():
     assert total["ns"] == ns and total["count"] == count, key
 assert roll["samples_seen"] == sum(p["samples_seen"] for p in per), roll
 EOF
-python3 tools/blame_report.py "${cachedir}/camp-blame/merged.json" > /dev/null
+python3 tools/report.py blame "${cachedir}/camp-blame/merged.json" > /dev/null
 
 # ...and the rollup is derived purely from outcomes, so a SIGKILLed and
 # resumed blame campaign merges byte-identically to the uninterrupted one.
@@ -287,20 +299,13 @@ ctest --preset asan
 # kernel's usual paths, so they get their own sanitizer pass.
 oob_faults ./build-asan/tools/shieldctl "${cachedir}/oob-asan-report.json"
 
-cmake -S . -B build-notrace -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DSHIELDSIM_CHAIN_TRACE=OFF
-cmake --build build-notrace -j "${jobs}"
-ctest --test-dir build-notrace --output-on-failure -j 4
-
-# Snapshot bit-identity, explicitly, in both hardened builds: every builtin
+# Snapshot bit-identity, explicitly, in the hardened build: every builtin
 # spec must survive a mid-run capture/restore byte-identically (probe output,
 # latency JSON, telemetry timeline), and prefix-forked runs must match cold
 # runs. ctest above already covers these; the standalone invocations make the
 # gate visible and keep it failing loudly if the suites are ever renamed or
 # filtered out of the ctest registration.
 ./build-asan/tests/shieldsim_tests \
-  --gtest_filter='SnapshotBitIdentity.*:PrefixReuse.*' --gtest_brief=1
-./build-notrace/tests/shieldsim_tests \
   --gtest_filter='SnapshotBitIdentity.*:PrefixReuse.*' --gtest_brief=1
 
 # ---- crash-isolated campaign execution ---------------------------------------
