@@ -1,23 +1,22 @@
-// google-benchmark microbenchmarks of the simulator's own hot paths.
+// google-benchmark microbenchmarks of single simulator components: event
+// queue, scheduler pick, RNG draw, histogram insert.
 //
-// These do not reproduce paper results; they keep the simulator honest:
-// event-queue throughput bounds how long the figure benches take, and the
-// per-component costs document where simulation time goes.
+// A by-hand tool for looking at one component in isolation; nothing gates
+// on its numbers. Whole-run simulator speed is measured by perfbench
+// (BENCHMARK.json), whose method resolves changes above its A/A spread.
 #include <benchmark/benchmark.h>
 
-#include "config/platform.h"
-#include "fault/fault_plan.h"
-#include "fault/injector.h"
-#include "hw/interrupt_controller.h"
+#include <memory>
+#include <vector>
+
+#include "config/kernel_config.h"
 #include "kernel/goodness_scheduler.h"
-#include "kernel/irq_pipeline.h"
 #include "kernel/o1_scheduler.h"
+#include "kernel/task.h"
 #include "metrics/histogram.h"
-#include "rt/realfeel_test.h"
-#include "sim/engine.h"
-#include "telemetry/sampler.h"
-#include "telemetry/timeline.h"
-#include "workload/stress_kernel.h"
+#include "sim/event_queue.h"
+#include "sim/rng.h"
+#include "sim/time.h"
 
 using namespace sim::literals;
 
@@ -100,179 +99,6 @@ BENCHMARK(BM_SchedulerPick)
     ->Args({0, 64})
     ->Args({1, 4})
     ->Args({1, 64});
-
-void BM_SimulatedSecondUnderStressKernel(benchmark::State& state) {
-  // Wall-clock cost of one simulated second of the Fig-5 scenario.
-  for (auto _ : state) {
-    state.PauseTiming();
-    config::Platform p(config::MachineConfig::dual_p3_xeon_933(),
-                       config::KernelConfig::vanilla_2_4_20(), 5);
-    workload::StressKernel{}.install(p);
-    rt::RealfeelTest::Params rp;
-    rp.samples = ~std::uint64_t{0};
-    rt::RealfeelTest test(p.kernel(), p.rtc_driver(), rp);
-    p.boot();
-    test.start();
-    state.ResumeTiming();
-    p.run_for(1_s);
-    benchmark::DoNotOptimize(p.engine().events_executed());
-  }
-}
-BENCHMARK(BM_SimulatedSecondUnderStressKernel)->Unit(benchmark::kMillisecond);
-
-void BM_SimulatedSecondWithOobStage(benchmark::State& state) {
-  // The same scenario with the realfeel reader and its RTC line adopted
-  // onto the out-of-band stage. bench_trend.py divides the cpu-time delta
-  // against the plain bench above by the dispatch counter to record
-  // oob_dispatch_ns — what one oob delivery costs the simulator.
-  std::uint64_t events = 0;
-  std::uint64_t dispatches = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    config::Platform p(config::MachineConfig::dual_p3_xeon_933(),
-                       config::KernelConfig::vanilla_2_4_20(), 5);
-    workload::StressKernel{}.install(p);
-    rt::RealfeelTest::Params rp;
-    rp.samples = ~std::uint64_t{0};
-    rt::RealfeelTest test(p.kernel(), p.rtc_driver(), rp);
-    kernel::Kernel& k = p.kernel();
-    k.set_mechanism(kernel::MechanismKind::kOob);
-    auto& oob = static_cast<kernel::OobPipeline&>(k.pipeline());
-    oob.adopt_task(test.task());
-    oob.adopt_irq(p.rtc_device().irq());
-    p.boot();
-    test.start();
-    state.ResumeTiming();
-    p.run_for(1_s);
-    events += p.engine().events_executed();
-    dispatches += oob.dispatches();
-    benchmark::DoNotOptimize(p.engine().events_executed());
-  }
-  state.counters["events"] = benchmark::Counter(
-      static_cast<double>(events), benchmark::Counter::kAvgIterations);
-  state.counters["dispatches"] = benchmark::Counter(
-      static_cast<double>(dispatches), benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_SimulatedSecondWithOobStage)->Unit(benchmark::kMillisecond);
-
-void BM_SimulatedSecondWithFaultInjector(benchmark::State& state) {
-  // Same scenario with a fault::Injector attached. Arg 0: an empty plan —
-  // the contract is that this is free (no hooks, no RNG draws), and
-  // bench_trend.py gates on the per-event delta against the bench above.
-  // Arg 1: the hostile-device plan, to document what a live plan costs.
-  const bool hostile = state.range(0) != 0;
-  fault::FaultPlan plan;
-  if (hostile) {
-    fault::FaultSpec storm;
-    storm.kind = fault::FaultKind::kIrqStorm;
-    storm.irq = hw::kIrqNic;
-    storm.rate_hz = 10'000.0;
-    plan.faults.push_back(storm);
-    fault::FaultSpec delay;
-    delay.kind = fault::FaultKind::kDeviceDelay;
-    delay.device = "disk";
-    delay.probability = 0.25;
-    delay.min_ns = 2_ms;
-    delay.max_ns = 8_ms;
-    plan.faults.push_back(delay);
-  }
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    config::Platform p(config::MachineConfig::dual_p3_xeon_933(),
-                       config::KernelConfig::vanilla_2_4_20(), 5);
-    workload::StressKernel{}.install(p);
-    rt::RealfeelTest::Params rp;
-    rp.samples = ~std::uint64_t{0};
-    rt::RealfeelTest test(p.kernel(), p.rtc_driver(), rp);
-    p.boot();
-    test.start();
-    fault::Injector injector(p, plan, 5);
-    if (!plan.empty()) injector.arm(p.engine().now() + 1_s);
-    state.ResumeTiming();
-    p.run_for(1_s);
-    events += p.engine().events_executed();
-    benchmark::DoNotOptimize(p.engine().events_executed());
-  }
-  state.counters["events"] =
-      benchmark::Counter(static_cast<double>(events), benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_SimulatedSecondWithFaultInjector)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_SimulatedSecondWithTelemetry(benchmark::State& state) {
-  // The stress-kernel second with the sampler and the flight recorder both
-  // live. bench_trend.py gates the per-event delta against the plain bench
-  // above: observability must stay under 2% of the hot path.
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    config::Platform p(config::MachineConfig::dual_p3_xeon_933(),
-                       config::KernelConfig::vanilla_2_4_20(), 5);
-    workload::StressKernel{}.install(p);
-    rt::RealfeelTest::Params rp;
-    rp.samples = ~std::uint64_t{0};
-    rt::RealfeelTest test(p.kernel(), p.rtc_driver(), rp);
-    p.engine().flight_recorder().enable(4096);
-    telemetry::Sampler sampler(p.engine(), p.engine().telemetry());
-    p.boot();
-    test.start();
-    sampler.start(10_ms);
-    state.ResumeTiming();
-    p.run_for(1_s);
-    events += p.engine().events_executed();
-    benchmark::DoNotOptimize(p.engine().events_executed());
-    state.PauseTiming();
-    sampler.stop();
-    benchmark::DoNotOptimize(sampler.points().size());
-    state.ResumeTiming();
-  }
-  state.counters["events"] =
-      benchmark::Counter(static_cast<double>(events),
-                         benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_SimulatedSecondWithTelemetry)->Unit(benchmark::kMillisecond);
-
-void BM_SimulatedSecondWithTimeline(benchmark::State& state) {
-  // The stress-kernel second with the full timeline/blame observability
-  // stack live: flight-recorder ring, chain tracer, and a blame collector
-  // folding every closed probe chain. bench_trend.py gates the per-event
-  // delta against the plain bench above — same 2% budget as telemetry.
-  std::uint64_t events = 0;
-  std::uint64_t samples = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    config::Platform p(config::MachineConfig::dual_p3_xeon_933(),
-                       config::KernelConfig::vanilla_2_4_20(), 5);
-    workload::StressKernel{}.install(p);
-    rt::RealfeelTest::Params rp;
-    rp.samples = ~std::uint64_t{0};
-    rt::RealfeelTest test(p.kernel(), p.rtc_driver(), rp);
-    p.engine().flight_recorder().enable(4096);
-    p.engine().chain_tracer().enable();
-    telemetry::BlameCollector blame;
-    p.kernel().set_blame_collector(&blame);
-    p.boot();
-    test.start();
-    state.ResumeTiming();
-    p.run_for(1_s);
-    events += p.engine().events_executed();
-    benchmark::DoNotOptimize(p.engine().events_executed());
-    state.PauseTiming();
-    samples += blame.attribution().samples_seen;
-    p.kernel().set_blame_collector(nullptr);
-    state.ResumeTiming();
-  }
-  state.counters["events"] =
-      benchmark::Counter(static_cast<double>(events),
-                         benchmark::Counter::kAvgIterations);
-  state.counters["samples"] =
-      benchmark::Counter(static_cast<double>(samples),
-                         benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_SimulatedSecondWithTimeline)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

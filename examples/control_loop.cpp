@@ -51,8 +51,7 @@ std::shared_ptr<ControlStats> install_controller(config::Platform& p,
         switch (phase->step) {
           case 0:  // wait for the next control tick
             phase->step = 1;
-            return kernel::SyscallAction{"ioctl(RCIM_WAIT)",
-                                         driver.wait_ioctl_program()};
+            return kernel::SyscallAction{driver.wait_ioctl_program()};
           case 1:  // sensor read is an mmap'd register: free; now compute
             phase->step = 2;
             return kernel::ComputeAction{120_us, 0.3};
@@ -63,7 +62,6 @@ std::shared_ptr<ControlStats> install_controller(config::Platform& p,
             stats->cycles++;
             if (elapsed > deadline) stats->deadline_misses++;
             return kernel::SyscallAction{
-                "write(dac)",
                 kernel::ProgramBuilder{}
                     .section(kernel::LockId::kRcim, 300_ns, 0.3)
                     .build()};

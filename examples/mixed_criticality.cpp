@@ -47,8 +47,7 @@ int main() {
                     static thread_local int phase = 0;
                     if (phase == 0) {
                       phase = 1;
-                      return kernel::SyscallAction{"ioctl(RCIM_WAIT)",
-                                                   drv.wait_ioctl_program()};
+                      return kernel::SyscallAction{drv.wait_ioctl_program()};
                     }
                     phase = 0;
                     dom_a->latency.add(rcim.elapsed_in_cycle());
@@ -73,8 +72,7 @@ int main() {
           dom_b->cycles++;
         }
         waited = true;
-        return kernel::SyscallAction{"ioctl(RCIM_EXT0)",
-                                     drv.external_wait_ioctl_program(0)};
+        return kernel::SyscallAction{drv.external_wait_ioctl_program(0)};
       });
 
   p.boot();

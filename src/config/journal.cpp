@@ -40,12 +40,13 @@ void CampaignJournal::write_record(json::Value record) {
 }
 
 void CampaignJournal::write_campaign(std::uint64_t root_seed, double scale,
-                                     std::size_t spec_count) {
+                                     std::size_t spec_count, bool cold) {
   Value r = Value::object();
   r.set("event", "campaign");
   r.set("root_seed", root_seed);
   r.set("scale", scale);
   r.set("specs", spec_count);
+  if (cold) r.set("cold", true);
   write_record(std::move(r));
 }
 
@@ -110,12 +111,14 @@ CampaignJournal::Replay CampaignJournal::replay(const std::string& dir) {
       // line: at() throws into the catch below before anything is applied.
       const std::string& kind = rec->at("event").as_string();
       if (kind == "campaign") {
-        out.has_campaign = true;
         if (const Value* v = rec->find("root_seed")) out.root_seed = v->as_u64();
         if (const Value* v = rec->find("scale")) out.scale = v->as_double();
         if (const Value* v = rec->find("specs")) {
           out.spec_count = static_cast<std::size_t>(v->as_u64());
         }
+        if (const Value* v = rec->find("cold")) out.cold = v->as_bool();
+        // Set last, so a mistyped field leaves no half-read identity behind.
+        out.has_campaign = true;
       } else if (kind == "start") {
         out.in_flight.insert(rec->at("name").as_string());
       } else if (kind == "done") {

@@ -6,9 +6,10 @@
 // record}, checksum = content digest of the record) around one of four
 // records:
 //
-//   campaign  — batch identity: root seed, scale, spec count. Written once
-//               when the journal is created; replays refuse to adopt
-//               results across a seed/scale change.
+//   campaign  — batch identity: root seed, scale, spec count, and whether
+//               every run is cold (unforked). Written once when the journal
+//               is created; replays refuse to adopt results across a change
+//               of any of them.
 //   start     — a spec was handed to an executor (in-flight marker).
 //   done      — a spec reached a terminal outcome; carries the outcome's
 //               full wire form (RunOutcome::to_full_json), which is a pure
@@ -53,8 +54,13 @@ class CampaignJournal {
 
   /// All writers are thread-safe (batch observers fire from worker threads)
   /// and flush before returning.
+  ///
+  /// `cold`: the campaign runs every spec cold (no prefix fork). Forked and
+  /// cold runs of one (spec, seed) give different results, so a resume must
+  /// not mix them. The key is written only when true, which leaves a forked
+  /// campaign's record as it always was.
   void write_campaign(std::uint64_t root_seed, double scale,
-                      std::size_t spec_count);
+                      std::size_t spec_count, bool cold = false);
   void write_start(const std::string& name, const std::string& digest,
                    std::uint64_t seed);
   void write_done(const std::string& name, const std::string& digest,
@@ -74,6 +80,7 @@ class CampaignJournal {
     std::uint64_t root_seed = 0;
     double scale = 1.0;
     std::size_t spec_count = 0;
+    bool cold = false;  ///< absent key: a forked campaign
     std::map<std::string, Adopted> done;  ///< terminal outcomes by spec name
     std::set<std::string> in_flight;      ///< started, never finished
     std::vector<json::Value> incidents;

@@ -46,7 +46,6 @@ class LockHolderBehavior : public kernel::Behavior {
     injector_->note_lock_hold();
     const sim::Duration hold = rng_.uniform_duration(min_, max_);
     return kernel::SyscallAction{
-        "fault-lock-holder",
         kernel::ProgramBuilder{}.work(500, 0.3).section(lock_, hold).build()};
   }
 

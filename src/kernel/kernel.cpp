@@ -26,13 +26,11 @@ class KsoftirqdBehavior final : public Behavior {
     CpuState& cs = k.cpu_mut(cpu_);
     const sim::Duration pending = cs.softirq.total_pending();
     if (pending == 0) {
-      return SyscallAction{"ksoftirqd_wait",
-                           ProgramBuilder{}.block(wq_).build()};
+      return SyscallAction{ProgramBuilder{}.block(wq_).build()};
     }
     const sim::Duration chunk = std::min(pending, k.config().ksoftirqd_chunk);
     cs.softirq.take(chunk);
-    return SyscallAction{"ksoftirqd_run",
-                         ProgramBuilder{}.work(chunk, 0.5).build()};
+    return SyscallAction{ProgramBuilder{}.work(chunk, 0.5).build()};
   }
 
  private:

@@ -32,9 +32,8 @@ struct ComputeAction {
   double memory_intensity = 0.2;
 };
 
-/// Enter the kernel and run `program`; `name` is for traces.
+/// Enter the kernel and run `program`.
 struct SyscallAction {
-  std::string name;
   KernelProgram program;
 };
 

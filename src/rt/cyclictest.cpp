@@ -28,7 +28,6 @@ class CyclicTest::Behavior final : public kernel::Behavior {
     if (owner_.done()) return kernel::ExitAction{};
     waited_ = true;
     return kernel::SyscallAction{
-        "clock_nanosleep",
         kernel::ProgramBuilder{}.block(owner_.wq_).build()};
   }
 

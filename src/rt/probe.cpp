@@ -319,7 +319,7 @@ class TimerGapProbe final : public Probe {
           st->prev = now;
           st->have_prev = true;
           return kernel::SyscallAction{
-              "timer_wait", kernel::ProgramBuilder{}.block(wq).build()};
+              kernel::ProgramBuilder{}.block(wq).build()};
         });
   }
 

@@ -29,8 +29,7 @@ class RcimTest::Behavior final : public kernel::Behavior {
     }
     if (owner_.done()) return kernel::ExitAction{};
     waited_ = true;
-    return kernel::SyscallAction{"ioctl(RCIM_WAIT)",
-                                 owner_.driver_.wait_ioctl_program()};
+    return kernel::SyscallAction{owner_.driver_.wait_ioctl_program()};
   }
 
  private:

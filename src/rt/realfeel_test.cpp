@@ -27,8 +27,7 @@ class RealfeelTest::Behavior final : public kernel::Behavior {
     if (owner_.done()) return kernel::ExitAction{};
     prev_return_ = now;
     have_prev_ = true;
-    return kernel::SyscallAction{"read(/dev/rtc)",
-                                 owner_.driver_.read_program()};
+    return kernel::SyscallAction{owner_.driver_.read_program()};
   }
 
  private:

@@ -31,8 +31,7 @@ void Crashme::install(config::Platform& platform) {
                 0.6};
           }
           st->faults_left--;
-          return kernel::SyscallAction{"fault",
-                                       kernel::sys::fault_storm(kk)};
+          return kernel::SyscallAction{kernel::sys::fault_storm(kk)};
         });
 }
 

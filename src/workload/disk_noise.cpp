@@ -43,8 +43,7 @@ void DiskNoise::install(config::Platform& platform) {
             if (st->cycle >= p.cycles_before_rm) {
               st->cycle = 0;
               // `rm *` — a directory-heavy metadata operation.
-              return kernel::SyscallAction{"unlink*",
-                                           kernel::sys::fs_op(kk, 800_us)};
+              return kernel::SyscallAction{kernel::sys::fs_op(kk, 800_us)};
             }
           }
           // `cat * > $f`: read everything, write a growing file. Most cats
@@ -54,7 +53,6 @@ void DiskNoise::install(config::Platform& platform) {
               st->rng.uniform(p.io_bytes_min, p.io_bytes_max));
           if (st->rng.chance(0.25)) {
             return kernel::SyscallAction{
-                "cat [writeback]",
                 kernel::sys::fs_io(
                     kk, p.cat_body_typical,
                     [&disk_drv, bytes, io_wq](kernel::Kernel&, kernel::Task&) {
@@ -63,7 +61,7 @@ void DiskNoise::install(config::Platform& platform) {
                     io_wq)};
           }
           return kernel::SyscallAction{
-              "cat [cached]", kernel::sys::fs_op(kk, p.cat_body_typical)};
+              kernel::sys::fs_op(kk, p.cat_body_typical)};
         });
 }
 

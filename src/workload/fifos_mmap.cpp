@@ -57,26 +57,23 @@ void FifosMmap::install(config::Platform& platform) {
                       ch->ready[peer_side] = true;
                       k2.wake_up_one(peer);
                     });
-                return kernel::SyscallAction{"write(fifo)",
-                                             std::move(b).build()};
+                return kernel::SyscallAction{std::move(b).build()};
               }
               case 2:
                 st->phase = 1;
                 return kernel::SyscallAction{
-                    "mmap", kernel::sys::mm_op(kk, p.mmap_body_typical)};
+                    kernel::sys::mm_op(kk, p.mmap_body_typical)};
               default:
                 if (ch->ready[side]) {
                   // Data already buffered: consume without sleeping.
                   ch->ready[side] = false;
                   st->phase = 0;
                   return kernel::SyscallAction{
-                      "read(fifo)",
                       kernel::sys::pipe_op(kk, p.copy_work,
                                            kernel::kNoWaitQueue)};
                 }
                 // Stay in the wait phase; when woken we re-check the flag.
                 return kernel::SyscallAction{
-                    "read(fifo) [blocked]",
                     kernel::ProgramBuilder{}.block(self).build()};
             }
           });

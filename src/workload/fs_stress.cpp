@@ -32,14 +32,13 @@ void FsStress::install(config::Platform& platform) {
               case 0:
                 st->phase = 1;
                 // truncate/extend: metadata-heavy, long bodies.
-                return kernel::SyscallAction{"truncate",
-                                             kernel::sys::fs_op(kk, p.body_typical)};
+                return kernel::SyscallAction{
+                    kernel::sys::fs_op(kk, p.body_typical)};
               case 1: {
                 st->phase = 2;
                 const auto bytes = static_cast<std::uint32_t>(
                     st->rng.uniform(p.io_bytes_min, p.io_bytes_max));
                 return kernel::SyscallAction{
-                    "write(holes)",
                     kernel::sys::fs_io(
                         kk, p.body_typical,
                         [&disk_drv, bytes, io_wq](kernel::Kernel&,

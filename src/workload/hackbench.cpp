@@ -46,20 +46,17 @@ void Hackbench::install(config::Platform& platform) {
                       (*ready)[static_cast<std::size_t>(peer_side)]++;
                       k2.wake_up_one(peer);
                     });
-                return kernel::SyscallAction{"write(pipe)",
-                                             std::move(b).build()};
+                return kernel::SyscallAction{std::move(b).build()};
               }
               auto& pending = (*ready)[static_cast<std::size_t>(side)];
               if (pending > 0) {
                 pending--;
                 st->phase = 0;
                 return kernel::SyscallAction{
-                    "read(pipe)",
                     kernel::sys::pipe_op(kk, p.message_work,
                                          kernel::kNoWaitQueue)};
               }
               return kernel::SyscallAction{
-                  "read(pipe) [blocked]",
                   kernel::ProgramBuilder{}.block(self).build()};
             });
     };

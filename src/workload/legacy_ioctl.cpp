@@ -24,7 +24,7 @@ void LegacyIoctl::install(config::Platform& platform) {
             // A tty/console ioctl: the whole driver body under the BKL.
             kernel::ProgramBuilder b;
             b.section(kernel::LockId::kBkl, kk.sample_section(), 0.4);
-            return kernel::SyscallAction{"ioctl(tty)", std::move(b).build()};
+            return kernel::SyscallAction{std::move(b).build()};
           });
   }
 }

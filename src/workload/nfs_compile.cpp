@@ -28,12 +28,10 @@ void NfsCompile::install(config::Platform& platform) {
               kernel::Kernel& kk, kernel::Task&) -> kernel::Action {
             if (*rpc_pending == 0) {
               return kernel::SyscallAction{
-                  "nfsd_wait",
                   kernel::ProgramBuilder{}.block(nfsd_wq).build()};
             }
             (*rpc_pending)--;
             return kernel::SyscallAction{
-                "nfsd_serve",
                 kernel::sys::fs_io(
                     kk, p.nfsd_body_typical,
                     [&disk_drv, io_wq](kernel::Kernel&, kernel::Task&) {
@@ -73,7 +71,6 @@ void NfsCompile::install(config::Platform& platform) {
                     p.compile_burst_min, p.compile_burst_max);
                 const int id = st->forks;
                 return kernel::SyscallAction{
-                    "fork+exec(gcc)",
                     kernel::sys::fork_exec(
                         kk,
                         [burst, id, child_exit_wq, zombies](kernel::Kernel& k2,
@@ -91,7 +88,6 @@ void NfsCompile::install(config::Platform& platform) {
                                       return kernel::ComputeAction{burst, 0.7};
                                     case 1:  // write the object file
                                       return kernel::SyscallAction{
-                                          "write(.o)",
                                           kernel::sys::fs_op(k3, 80_us)};
                                     case 2: {  // exit(): wake the waiting parent
                                       kernel::ProgramBuilder b;
@@ -103,7 +99,7 @@ void NfsCompile::install(config::Platform& platform) {
                                             k4.wake_up_one(child_exit_wq);
                                           });
                                       return kernel::SyscallAction{
-                                          "exit", std::move(b).build()};
+                                          std::move(b).build()};
                                     }
                                     default:
                                       return kernel::ExitAction{};
@@ -119,23 +115,20 @@ void NfsCompile::install(config::Platform& platform) {
                   (*zombies)--;
                   st->phase = 2;
                   return kernel::SyscallAction{
-                      "wait4 [zombie]",
                       kernel::ProgramBuilder{}.work(3_us, 0.4).build()};
                 }
                 return kernel::SyscallAction{
-                    "wait4", kernel::sys::wait_for_child(kk, child_exit_wq)};
+                    kernel::sys::wait_for_child(kk, child_exit_wq)};
               case 2:
                 st->phase = 3;
                 // Reap zombies every few compiles, as a shell would.
                 if (st->forks % 8 == 0) kk.reap_exited();
-                return kernel::SyscallAction{"open/stat",
-                                             kernel::sys::fs_op(kk, 60_us)};
+                return kernel::SyscallAction{kernel::sys::fs_op(kk, 60_us)};
               default: {
                 st->phase = 0;
                 const auto softirq_work = static_cast<sim::Duration>(
                     p.rpc_softirq_ns_per_call);
                 return kernel::SyscallAction{
-                    "nfs_rpc",
                     kernel::sys::socket_op(
                         kk, p.rpc_proto_work,
                         [nfsd_wq, softirq_work, rpc_pending](

@@ -27,8 +27,7 @@ void P3Fpu::install(config::Platform& platform) {
             if (st->phase == 1) {
               st->phase = 0;
               // Occasional progress write (gettimeofday/printf-style).
-              return kernel::SyscallAction{"write(stdout)",
-                                           kernel::sys::fs_op(kk, 10_us)};
+              return kernel::SyscallAction{kernel::sys::fs_op(kk, 10_us)};
             }
             st->phase = 1;
             return kernel::ComputeAction{

@@ -77,7 +77,6 @@ void ScpCopy::install(config::Platform& platform) {
             case 0:
               st->phase = 1;
               return kernel::SyscallAction{
-                  "read(socket)",
                   kernel::sys::socket_recv(kk, nic_drv.rx_wait_queue())};
             case 1:
               st->phase = 2;
@@ -89,7 +88,6 @@ void ScpCopy::install(config::Platform& platform) {
                 st->bursts_since_flush = 0;
                 const std::uint32_t bytes = p.burst_bytes * p.flush_every_bursts;
                 return kernel::SyscallAction{
-                    "write(/tmp/bzImage)",
                     kernel::sys::fs_io(
                         kk, 150_us,
                         [&disk_drv, bytes, io_wq](kernel::Kernel&,
@@ -99,7 +97,7 @@ void ScpCopy::install(config::Platform& platform) {
                         io_wq)};
               }
               // Small bookkeeping syscall between bursts.
-              return kernel::SyscallAction{"stat", kernel::sys::fs_op(kk, 20_us)};
+              return kernel::SyscallAction{kernel::sys::fs_op(kk, 20_us)};
           }
         });
 }

@@ -20,8 +20,7 @@ void TtcpLoopback::install(config::Platform& platform) {
     tp.memory_intensity = 0.55;
     spawn(k, std::move(tp),
           [rx_wq](kernel::Kernel& kk, kernel::Task&) -> kernel::Action {
-            return kernel::SyscallAction{"read(socket)",
-                                         kernel::sys::socket_recv(kk, rx_wq)};
+            return kernel::SyscallAction{kernel::sys::socket_recv(kk, rx_wq)};
           });
   }
 
@@ -45,7 +44,6 @@ void TtcpLoopback::install(config::Platform& platform) {
             }
             st->phase = 1;
             return kernel::SyscallAction{
-                "write(socket)",
                 kernel::sys::socket_op(
                     kk, p.proto_work,
                     [rx_wq, rx_work](kernel::Kernel& k2, kernel::Task& t) {
@@ -96,12 +94,10 @@ void TtcpEthernet::install(config::Platform& platform) {
             if (st->phase == 0) {
               st->phase = 1;
               return kernel::SyscallAction{
-                  "read(socket)",
                   kernel::sys::socket_recv(kk, nic_drv.rx_wait_queue())};
             }
             st->phase = 0;
             return kernel::SyscallAction{
-                "write(socket)",
                 kernel::sys::socket_op(kk, p.proto_work,
                                        [&nic, p](kernel::Kernel&,
                                                  kernel::Task&) {

@@ -34,7 +34,6 @@ void X11Perf::install(config::Platform& platform) {
               case 0:
                 if (*requests_pending == 0) {
                   return kernel::SyscallAction{
-                      "select",
                       kernel::ProgramBuilder{}.block(x_req_wq).build()};
                 }
                 (*requests_pending)--;
@@ -43,7 +42,6 @@ void X11Perf::install(config::Platform& platform) {
               default:
                 st->phase = 0;
                 return kernel::SyscallAction{
-                    "gpu_submit+wait",
                     kernel::ProgramBuilder{}
                         .work(5_us, 0.4)
                         .effect([&gpu, p](kernel::Kernel&, kernel::Task&) {
@@ -82,8 +80,7 @@ void X11Perf::install(config::Platform& platform) {
                   (*requests_pending)++;
                   k2.wake_up_one(x_req_wq);
                 });
-            return kernel::SyscallAction{"write(unix_socket)",
-                                         std::move(b).build()};
+            return kernel::SyscallAction{std::move(b).build()};
           });
   }
 }

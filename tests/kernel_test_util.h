@@ -70,7 +70,7 @@ inline kernel::Task& spawn_syscall_loop(
   return workload::spawn(
       k, std::move(tp),
       [make_program](kernel::Kernel& kk, kernel::Task&) -> kernel::Action {
-        return kernel::SyscallAction{"loop", make_program(kk)};
+        return kernel::SyscallAction{make_program(kk)};
       });
 }
 

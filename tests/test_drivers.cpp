@@ -14,8 +14,7 @@ TEST(RtcDriver, ReadBlocksUntilInterrupt) {
   p->rtc_device().set_rate_hz(64);  // 15.625 ms period
   std::vector<sim::Time> marks;
   spawn_scripted(k, {.name = "reader"},
-                 {kernel::SyscallAction{"read(/dev/rtc)",
-                                        p->rtc_driver().read_program()}},
+                 {kernel::SyscallAction{p->rtc_driver().read_program()}},
                  &marks);
   p->boot();
   p->rtc_device().start_periodic();
@@ -32,10 +31,10 @@ TEST(RtcDriver, WakesAllReaders) {
   p->rtc_device().set_rate_hz(64);
   std::vector<sim::Time> m1, m2;
   spawn_scripted(k, {.name = "r1"},
-                 {kernel::SyscallAction{"read", p->rtc_driver().read_program()}},
+                 {kernel::SyscallAction{p->rtc_driver().read_program()}},
                  &m1);
   spawn_scripted(k, {.name = "r2"},
-                 {kernel::SyscallAction{"read", p->rtc_driver().read_program()}},
+                 {kernel::SyscallAction{p->rtc_driver().read_program()}},
                  &m2);
   p->boot();
   p->rtc_device().start_periodic();
@@ -58,8 +57,7 @@ TEST(RcimDriver, IoctlWaitsForTimer) {
   auto& k = p->kernel();
   std::vector<sim::Time> marks;
   spawn_scripted(k, {.name = "waiter"},
-                 {kernel::SyscallAction{"ioctl",
-                                        p->rcim_driver().wait_ioctl_program()}},
+                 {kernel::SyscallAction{p->rcim_driver().wait_ioctl_program()}},
                  &marks);
   p->boot();
   p->rcim_device().program_periodic(2500);  // 1 ms
@@ -131,7 +129,6 @@ TEST(NicDriver, WakesBlockedReceiver) {
   spawn_scripted(
       k, {.name = "recv"},
       {kernel::SyscallAction{
-          "read(sock)",
           kernel::sys::socket_recv(k, p->nic_driver().rx_wait_queue())}},
       &marks);
   p->boot();
@@ -150,7 +147,6 @@ TEST(DiskDriver, CompletionWakesSubmitter) {
   std::vector<sim::Time> marks;
   spawn_scripted(k, {.name = "writer"},
                  {kernel::SyscallAction{
-                     "write",
                      kernel::sys::fs_io(
                          k, 50_us,
                          [&drv, io_wq](kernel::Kernel&, kernel::Task&) {
@@ -188,7 +184,7 @@ TEST(GpuDriver, CompletionWakesSubmitter) {
       .effect([&gpu](kernel::Kernel&, kernel::Task&) { gpu.submit_batch(50); })
       .block(p->gpu_driver().completion_queue());
   spawn_scripted(k, {.name = "X"},
-                 {kernel::SyscallAction{"gpu", std::move(b).build()}}, &marks);
+                 {kernel::SyscallAction{std::move(b).build()}}, &marks);
   p->boot();
   p->run_for(1_s);
   ASSERT_EQ(marks.size(), 2u);

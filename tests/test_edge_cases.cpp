@@ -20,7 +20,7 @@ TEST(EdgeCases, ZeroWorkOpsAreSkipped) {
   kernel::ProgramBuilder b;
   b.work(0, 0.3).work(0, 0.3).work(1_us, 0.3).work(0, 0.3);
   spawn_scripted(p->kernel(), {.name = "t"},
-                 {kernel::SyscallAction{"zeros", std::move(b).build()}},
+                 {kernel::SyscallAction{std::move(b).build()}},
                  &marks);
   p->boot();
   p->run_for(100_ms);
@@ -32,7 +32,7 @@ TEST(EdgeCases, EmptySyscallProgramCompletes) {
   auto p = vanilla_rig(212);
   std::vector<sim::Time> marks;
   spawn_scripted(p->kernel(), {.name = "t"},
-                 {kernel::SyscallAction{"nop", kernel::KernelProgram{}}},
+                 {kernel::SyscallAction{kernel::KernelProgram{}}},
                  &marks);
   p->boot();
   p->run_for(100_ms);
@@ -44,7 +44,7 @@ TEST(EdgeCases, UnlockByNonHolderDies) {
   kernel::ProgramBuilder b;
   b.unlock(kernel::LockId::kFs);
   spawn_scripted(p->kernel(), {.name = "bad"},
-                 {kernel::SyscallAction{"bad", std::move(b).build()}});
+                 {kernel::SyscallAction{std::move(b).build()}});
   p->boot();
   EXPECT_DEATH(p->run_for(100_ms), "non-holder");
 }
@@ -54,7 +54,7 @@ TEST(EdgeCases, SyscallExitHoldingLockDies) {
   kernel::ProgramBuilder b;
   b.lock(kernel::LockId::kFs);  // never unlocked
   spawn_scripted(p->kernel(), {.name = "leaker"},
-                 {kernel::SyscallAction{"leak", std::move(b).build()}});
+                 {kernel::SyscallAction{std::move(b).build()}});
   p->boot();
   EXPECT_DEATH(p->run_for(100_ms), "holding");
 }
@@ -78,7 +78,7 @@ TEST(EdgeCases, WakeUpAllWakesEveryWaiter) {
   for (auto* m : {&m1, &m2, &m3}) {
     spawn_scripted(k, {.name = "w"},
                    {kernel::SyscallAction{
-                       "wait", kernel::ProgramBuilder{}.block(wq).build()}},
+                       kernel::ProgramBuilder{}.block(wq).build()}},
                    m);
   }
   p->boot();
@@ -99,7 +99,7 @@ TEST(EdgeCases, RtcPathSurvivesBackToBackReads) {
                   [count, &p](kernel::Kernel&, kernel::Task&) -> kernel::Action {
                     if (++*count > 3000) return kernel::ExitAction{};
                     return kernel::SyscallAction{
-                        "read", p->rtc_driver().read_program()};
+                        p->rtc_driver().read_program()};
                   });
   p->boot();
   p->rtc_device().start_periodic();

@@ -40,7 +40,7 @@ TEST(KernelExec, SyscallProgramRunsToCompletion) {
   std::vector<sim::Time> marks;
   auto& t = spawn_scripted(
       p->kernel(), {.name = "t"},
-      {kernel::SyscallAction{"test", std::move(b).build()}}, &marks);
+      {kernel::SyscallAction{std::move(b).build()}}, &marks);
   p->boot();
   p->run_for(1_s);
   EXPECT_TRUE(effect_ran);
@@ -81,7 +81,7 @@ TEST(KernelExec, UtimeStimeAccounting) {
   b.work(5_ms, 0.3);
   auto& t = spawn_scripted(p->kernel(), {.name = "t"},
                            {kernel::ComputeAction{20_ms, 0.0},
-                            kernel::SyscallAction{"sys", std::move(b).build()}});
+                            kernel::SyscallAction{std::move(b).build()}});
   p->boot();
   p->run_for(1_s);
   EXPECT_GE(t.utime, 20_ms);

@@ -48,7 +48,7 @@ TEST(KTimers, WakesBlockedTask) {
   std::vector<sim::Time> marks;
   spawn_scripted(k, {.name = "waiter"},
                  {kernel::SyscallAction{
-                     "timer_wait", kernel::ProgramBuilder{}.block(wq).build()}},
+                     kernel::ProgramBuilder{}.block(wq).build()}},
                  &marks);
   p->boot();
   k.arm_periodic_timer(wq, 7_ms);

@@ -48,7 +48,7 @@ TEST(LatencyAuditor, PreemptOffTracksSectionLengths) {
   kernel::ProgramBuilder b;
   b.section(kernel::LockId::kFs, 2_ms);
   spawn_scripted(p->kernel(), {.name = "holder"},
-                 {kernel::SyscallAction{"hold", std::move(b).build()}});
+                 {kernel::SyscallAction{std::move(b).build()}});
   p->boot();
   p->run_for(1_s);
   // The 2 ms section shows up as the worst preempt-off interval.
@@ -61,7 +61,7 @@ TEST(LatencyAuditor, IrqSafeLockCountsAsIrqOff) {
   kernel::ProgramBuilder b;
   b.lock(kernel::LockId::kIoRequest).work(1500_us, 0.3).unlock(kernel::LockId::kIoRequest);
   spawn_scripted(p->kernel(), {.name = "holder"},
-                 {kernel::SyscallAction{"hold", std::move(b).build()}});
+                 {kernel::SyscallAction{std::move(b).build()}});
   p->boot();
   p->run_for(1_s);
   EXPECT_GE(p->kernel().auditor().worst_irq_off(), 1500_us);
@@ -77,7 +77,7 @@ TEST(LatencyAuditor, RtSchedLatencyRecordedOnWakeup) {
   tp.rt_priority = 90;
   spawn_scripted(k, std::move(tp),
                  {kernel::SyscallAction{
-                     "wait", kernel::ProgramBuilder{}.block(wq).build()}});
+                     kernel::ProgramBuilder{}.block(wq).build()}});
   p->boot();
   p->engine().schedule(50_ms, [&] { k.wake_up_one(wq); });
   p->run_for(1_s);

@@ -14,7 +14,7 @@ TEST(Locks, UncontendedAcquireIsImmediate) {
   kernel::ProgramBuilder b;
   b.section(kernel::LockId::kFs, 5_us);
   spawn_scripted(p->kernel(), {.name = "t"},
-                 {kernel::SyscallAction{"s", std::move(b).build()}}, &marks);
+                 {kernel::SyscallAction{std::move(b).build()}}, &marks);
   p->boot();
   p->run_for(100_ms);
   ASSERT_EQ(marks.size(), 2u);
@@ -31,7 +31,7 @@ TEST(Locks, ContendedSpinnerWaitsForHolder) {
   hold.section(kernel::LockId::kFs, 5_ms);
   std::vector<sim::Time> hmarks;
   spawn_scripted(k, {.name = "holder", .affinity = hw::CpuMask::single(0)},
-                 {kernel::SyscallAction{"hold", std::move(hold).build()}},
+                 {kernel::SyscallAction{std::move(hold).build()}},
                  &hmarks);
   // Spinner on CPU 1 starts 1 ms later and wants the same lock.
   std::vector<sim::Time> smarks;
@@ -39,7 +39,7 @@ TEST(Locks, ContendedSpinnerWaitsForHolder) {
   spin.section(kernel::LockId::kFs, 1_us);
   spawn_scripted(k, {.name = "spinner", .affinity = hw::CpuMask::single(1)},
                  {kernel::SleepAction{1_ms},  // rounds to 10ms... see below
-                  kernel::SyscallAction{"take", std::move(spin).build()}},
+                  kernel::SyscallAction{std::move(spin).build()}},
                  &smarks);
   p->boot();
   p->run_for(200_ms);
@@ -57,14 +57,14 @@ TEST(Locks, SpinnerBlocksUntilRelease) {
   hold.section(kernel::LockId::kFs, 30_ms);
   std::vector<sim::Time> hmarks;
   spawn_scripted(k, {.name = "holder", .affinity = hw::CpuMask::single(0)},
-                 {kernel::SyscallAction{"hold", std::move(hold).build()}},
+                 {kernel::SyscallAction{std::move(hold).build()}},
                  &hmarks);
   std::vector<sim::Time> smarks;
   kernel::ProgramBuilder spin;
   spin.section(kernel::LockId::kFs, 1_us);
   spawn_scripted(k, {.name = "spinner", .affinity = hw::CpuMask::single(1)},
                  {kernel::SleepAction{5_ms},  // wakes at ~10 ms, mid-hold
-                  kernel::SyscallAction{"take", std::move(spin).build()}},
+                  kernel::SyscallAction{std::move(spin).build()}},
                  &smarks);
   p->boot();
   p->run_for(500_ms);
@@ -85,7 +85,7 @@ TEST(Locks, FifoGrantOrder) {
   kernel::ProgramBuilder hold;
   hold.section(kernel::LockId::kSocket, 20_ms);
   spawn_scripted(k, {.name = "holder", .affinity = hw::CpuMask::single(0)},
-                 {kernel::SyscallAction{"hold", std::move(hold).build()}});
+                 {kernel::SyscallAction{std::move(hold).build()}});
   sim::Time granted_at = 0;
   kernel::ProgramBuilder spin;
   spin.lock(kernel::LockId::kSocket)
@@ -94,7 +94,7 @@ TEST(Locks, FifoGrantOrder) {
       .unlock(kernel::LockId::kSocket);
   spawn_scripted(k, {.name = "spinner", .affinity = hw::CpuMask::single(1)},
                  {kernel::SleepAction{5_ms},
-                  kernel::SyscallAction{"take", std::move(spin).build()}});
+                  kernel::SyscallAction{std::move(spin).build()}});
   p->boot();
   p->run_for(500_ms);
   EXPECT_GT(granted_at, 19_ms);
@@ -110,7 +110,7 @@ TEST(Locks, IrqSafeLockMasksInterrupts) {
   b.lock(kernel::LockId::kIoRequest).work(35_ms, 0.0).unlock(kernel::LockId::kIoRequest);
   std::vector<sim::Time> marks;
   spawn_scripted(k, {.name = "t", .affinity = hw::CpuMask::single(0)},
-                 {kernel::SyscallAction{"masked", std::move(b).build()}},
+                 {kernel::SyscallAction{std::move(b).build()}},
                  &marks);
   p->boot();
   p->run_for(200_ms);
@@ -134,7 +134,7 @@ TEST(Locks, BklDroppedAcrossSleepAndReacquired) {
       .work(1_us, 0.3)
       .unlock(kernel::LockId::kBkl);
   spawn_scripted(k, {.name = "a", .affinity = hw::CpuMask::single(0)},
-                 {kernel::SyscallAction{"ioctl", std::move(a).build()}});
+                 {kernel::SyscallAction{std::move(a).build()}});
   // Task B: while A sleeps, B must be able to take the BKL (A dropped it).
   sim::Time b_got_bkl = 0;
   kernel::ProgramBuilder b;
@@ -144,7 +144,7 @@ TEST(Locks, BklDroppedAcrossSleepAndReacquired) {
       .unlock(kernel::LockId::kBkl);
   spawn_scripted(k, {.name = "b", .affinity = hw::CpuMask::single(1)},
                  {kernel::SleepAction{5_ms},
-                  kernel::SyscallAction{"ioctl", std::move(b).build()}});
+                  kernel::SyscallAction{std::move(b).build()}});
   p->boot();
   p->engine().schedule(50_ms, [&] { k.wake_up_one(wq); });
   p->run_for(500_ms);
@@ -164,7 +164,7 @@ TEST(Locks, BklReacquireSpinsIfContended) {
   kernel::ProgramBuilder a;
   a.lock(kernel::LockId::kBkl).block(wq).work(1_us, 0.3).unlock(kernel::LockId::kBkl);
   spawn_scripted(k, {.name = "a", .affinity = hw::CpuMask::single(0)},
-                 {kernel::SyscallAction{"ioctl", std::move(a).build()}},
+                 {kernel::SyscallAction{std::move(a).build()}},
                  &amarks);
   sim::Time b_release = 0;
   kernel::ProgramBuilder b;
@@ -174,7 +174,7 @@ TEST(Locks, BklReacquireSpinsIfContended) {
       .unlock(kernel::LockId::kBkl);
   spawn_scripted(k, {.name = "b", .affinity = hw::CpuMask::single(1)},
                  {kernel::SleepAction{5_ms},
-                  kernel::SyscallAction{"hog_bkl", std::move(b).build()}});
+                  kernel::SyscallAction{std::move(b).build()}});
   p->boot();
   // Wake A while B is mid-hold (B runs ~10..30 ms).
   p->engine().schedule(15_ms, [&] { k.wake_up_one(wq); });
@@ -194,7 +194,7 @@ TEST(Locks, BottomHalfStormStretchesObservedHoldTime) {
   hold.section(kernel::LockId::kFs, 200_us);
   spawn_scripted(k, {.name = "holder", .affinity = hw::CpuMask::single(0)},
                  {kernel::SleepAction{10_ms},
-                  kernel::SyscallAction{"hold", std::move(hold).build()}});
+                  kernel::SyscallAction{std::move(hold).build()}});
   // Storm: 5 ms of net-rx softirq raised on CPU 0 by an interrupt landing
   // mid-hold. (Raise via the NIC so it arrives in irq context.)
   p->nic_device().rx(200'000);  // ~5.2 ms of softirq work at 26 ns/B
@@ -206,7 +206,7 @@ TEST(Locks, BottomHalfStormStretchesObservedHoldTime) {
   spin.section(kernel::LockId::kFs, 1_us);
   spawn_scripted(k, {.name = "spinner", .affinity = hw::CpuMask::single(1)},
                  {kernel::SleepAction{10_ms},
-                  kernel::SyscallAction{"take", std::move(spin).build()}},
+                  kernel::SyscallAction{std::move(spin).build()}},
                  &smarks);
   p->boot();
   p->run_for(1_s);

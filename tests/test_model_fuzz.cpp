@@ -32,19 +32,16 @@ class ChaoticBehavior final : public kernel::Behavior {
       case 2:
         return kernel::SleepAction{rng_.uniform_duration(100_us, 20_ms)};
       case 3:
-        return kernel::SyscallAction{"fs",
-                                     kernel::sys::fs_op(k, 100_us)};
+        return kernel::SyscallAction{kernel::sys::fs_op(k, 100_us)};
       case 4:
-        return kernel::SyscallAction{"mm", kernel::sys::mm_op(k, 80_us)};
+        return kernel::SyscallAction{kernel::sys::mm_op(k, 80_us)};
       case 5:
-        return kernel::SyscallAction{"fault", kernel::sys::fault_storm(k)};
+        return kernel::SyscallAction{kernel::sys::fault_storm(k)};
       case 6:
-        return kernel::SyscallAction{
-            "net", kernel::sys::socket_op(
-                       k, 50_us, [](kernel::Kernel& kk, kernel::Task& tt) {
-                         kk.raise_softirq(tt.cpu, kernel::SoftirqType::kNetRx,
-                                          30'000);
-                       })};
+        return kernel::SyscallAction{kernel::sys::socket_op(
+            k, 50_us, [](kernel::Kernel& kk, kernel::Task& tt) {
+              kk.raise_softirq(tt.cpu, kernel::SoftirqType::kNetRx, 30'000);
+            })};
       case 7: {
         // Wake anyone parked on the shared queue, then maybe park.
         kernel::ProgramBuilder b;
@@ -52,7 +49,7 @@ class ChaoticBehavior final : public kernel::Behavior {
         b.work(1_us, 0.3).effect([wq](kernel::Kernel& kk, kernel::Task&) {
           kk.wake_up_one(wq);
         });
-        return kernel::SyscallAction{"wake", std::move(b).build()};
+        return kernel::SyscallAction{std::move(b).build()};
       }
       case 8: {
         // Change own affinity at random (never to an empty mask).
@@ -64,7 +61,7 @@ class ChaoticBehavior final : public kernel::Behavior {
       default: {
         kernel::ProgramBuilder b;
         b.section(kernel::LockId::kBkl, rng_.uniform_duration(1_us, 200_us));
-        return kernel::SyscallAction{"bkl", std::move(b).build()};
+        return kernel::SyscallAction{std::move(b).build()};
       }
     }
   }

@@ -97,7 +97,7 @@ TEST(MultiShield, IndependentRtTasksBothMeetLatency) {
         if (s2->n > 0) s2->lat.add(rcim.elapsed_in_cycle());
         if (s2->n >= 2000) return kernel::ExitAction{};
         s2->n++;
-        return kernel::SyscallAction{"ioctl", drv.wait_ioctl_program()};
+        return kernel::SyscallAction{drv.wait_ioctl_program()};
       });
 
   auto s3 = std::make_shared<Stats>();
@@ -113,8 +113,7 @@ TEST(MultiShield, IndependentRtTasksBothMeetLatency) {
         if (s3->n > 0) s3->lat.add(kk.now() - rcim.last_external_edge(0));
         if (s3->n >= 500) return kernel::ExitAction{};
         s3->n++;
-        return kernel::SyscallAction{"ioctl",
-                                     drv.external_wait_ioctl_program(0)};
+        return kernel::SyscallAction{drv.external_wait_ioctl_program(0)};
       });
 
   p->boot();

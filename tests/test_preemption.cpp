@@ -31,7 +31,7 @@ sim::Duration wake_latency(config::Platform& p,
   tp.rt_priority = 90;
   spawn_scripted(k, std::move(tp),
                  {kernel::SyscallAction{
-                     "wait", kernel::ProgramBuilder{}.block(wq).build()}},
+                     kernel::ProgramBuilder{}.block(wq).build()}},
                  &marks);
 
   p.boot();
@@ -63,7 +63,7 @@ TEST(Preemption, UserModeCurrentIsPreemptedImmediately) {
   const auto wq = k.create_wait_queue("test");
   spawn_scripted(k, std::move(tp),
                  {kernel::SyscallAction{
-                     "wait", kernel::ProgramBuilder{}.block(wq).build()}},
+                     kernel::ProgramBuilder{}.block(wq).build()}},
                  &marks);
   p->boot();
   sim::Time woke_at = 0;
@@ -120,7 +120,7 @@ sim::Duration pinned_wake_latency(config::Platform& p,
   auto& k = p.kernel();
   std::vector<sim::Time> busy_marks;
   spawn_scripted(k, {.name = "busy", .affinity = hw::CpuMask::single(0)},
-                 {kernel::SyscallAction{"long", std::move(program)}},
+                 {kernel::SyscallAction{std::move(program)}},
                  &busy_marks);
   std::vector<sim::Time> rt_marks;
   kernel::Kernel::TaskParams tp;
@@ -131,7 +131,7 @@ sim::Duration pinned_wake_latency(config::Platform& p,
   const auto wq = k.create_wait_queue("test");
   spawn_scripted(k, std::move(tp),
                  {kernel::SyscallAction{
-                     "wait", kernel::ProgramBuilder{}.block(wq).build()}},
+                     kernel::ProgramBuilder{}.block(wq).build()}},
                  &rt_marks);
   p.boot();
   sim::Time woke_at = 0;
@@ -189,7 +189,7 @@ TEST(Preemption, NeedReschedHandledAtSyscallExit) {
   kernel::ProgramBuilder b;
   b.work(20_ms, 0.0);
   spawn_scripted(k, {.name = "busy", .affinity = hw::CpuMask::single(0)},
-                 {kernel::SyscallAction{"long", std::move(b).build()}},
+                 {kernel::SyscallAction{std::move(b).build()}},
                  &busy_marks);
   // RT task pinned to the same CPU, woken 5 ms into the syscall.
   std::vector<sim::Time> rt_marks;
@@ -201,7 +201,7 @@ TEST(Preemption, NeedReschedHandledAtSyscallExit) {
   const auto wq = k.create_wait_queue("test");
   spawn_scripted(k, std::move(tp),
                  {kernel::SyscallAction{
-                     "wait", kernel::ProgramBuilder{}.block(wq).build()}},
+                     kernel::ProgramBuilder{}.block(wq).build()}},
                  &rt_marks);
   p->boot();
   p->engine().schedule(5_ms, [&] { k.wake_up_one(wq); });

@@ -14,17 +14,16 @@ TEST(ProcessLifecycle, ForkExecCreatesChildInKernelContext) {
   kernel::Task* child = nullptr;
   spawn_scripted(
       k, {.name = "parent"},
-      {kernel::SyscallAction{
-          "fork", kernel::sys::fork_exec(
-                      k, [&child](kernel::Kernel& k2, kernel::Task&) {
-                        kernel::Kernel::TaskParams tp;
-                        tp.name = "child";
-                        child = &workload::spawn(
-                            k2, std::move(tp),
-                            [](kernel::Kernel&, kernel::Task&) -> kernel::Action {
-                              return kernel::ExitAction{};
-                            });
-                      })}});
+      {kernel::SyscallAction{kernel::sys::fork_exec(
+          k, [&child](kernel::Kernel& k2, kernel::Task&) {
+            kernel::Kernel::TaskParams tp;
+            tp.name = "child";
+            child = &workload::spawn(
+                k2, std::move(tp),
+                [](kernel::Kernel&, kernel::Task&) -> kernel::Action {
+                  return kernel::ExitAction{};
+                });
+          })}});
   p->boot();
   p->run_for(1_s);
   ASSERT_NE(child, nullptr);

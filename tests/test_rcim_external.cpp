@@ -35,12 +35,10 @@ TEST(RcimExternal, WaiterWokenByItsLineOnly) {
   std::vector<sim::Time> line0_marks, line1_marks;
   spawn_scripted(k, {.name = "wait0"},
                  {kernel::SyscallAction{
-                     "ioctl(EXT0)",
                      p->rcim_driver().external_wait_ioctl_program(0)}},
                  &line0_marks);
   spawn_scripted(k, {.name = "wait1"},
                  {kernel::SyscallAction{
-                     "ioctl(EXT1)",
                      p->rcim_driver().external_wait_ioctl_program(1)}},
                  &line1_marks);
   p->boot();
@@ -79,8 +77,7 @@ TEST(RcimExternal, EdgeLatencyOnShieldedCpuIsTensOfMicroseconds) {
         }
         if (stats->fired >= 200) return kernel::ExitAction{};
         stats->fired++;
-        return kernel::SyscallAction{"ioctl(EXT0)",
-                                     drv.external_wait_ioctl_program(0)};
+        return kernel::SyscallAction{drv.external_wait_ioctl_program(0)};
       });
   p->boot();
   p->shield().dedicate_cpu(1, rt, rcim.irq());

@@ -64,8 +64,7 @@ TEST_P(SemanticsMatrix, ScenarioRunsCleanlyEverywhere) {
       k, std::move(tp),
       [consumed, &p](kernel::Kernel&, kernel::Task&) -> kernel::Action {
         (*consumed)++;
-        return kernel::SyscallAction{"read(/dev/rtc)",
-                                     p.rtc_driver().read_program()};
+        return kernel::SyscallAction{p.rtc_driver().read_program()};
       });
 
   p.boot();

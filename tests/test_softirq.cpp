@@ -106,7 +106,7 @@ TEST(Softirq, TaskContextRaiseGoesToKsoftirqd) {
     kk.raise_softirq(t.cpu, kernel::SoftirqType::kNetRx, 2_ms);
   });
   spawn_scripted(k, {.name = "sender", .affinity = hw::CpuMask::single(0)},
-                 {kernel::SyscallAction{"send", std::move(b).build()}});
+                 {kernel::SyscallAction{std::move(b).build()}});
   p->boot();
   p->run_for(1_s);
   auto* ksoftirqd = k.find_task("ksoftirqd/0");

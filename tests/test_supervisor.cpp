@@ -112,6 +112,48 @@ TEST(CampaignJournal, MissingFileYieldsEmptyReplay) {
   EXPECT_TRUE(replay.in_flight.empty());
 }
 
+TEST(CampaignJournal, CampaignRecordRoundTripsColdAndForked) {
+  // Forked and cold runs of one (spec, seed) differ, so the campaign record
+  // says which of the two a journal holds. A forked record has no "cold"
+  // key at all: its line is the one journals have always carried.
+  const std::string cold_dir = "journal_cold_test";
+  const std::string forked_dir = "journal_forked_test";
+  {
+    config::CampaignJournal cold(cold_dir);
+    cold.write_campaign(2003, 0.01, 3, true);
+    config::CampaignJournal forked(forked_dir);
+    forked.write_campaign(2003, 0.01, 3);
+  }
+  const auto cold = config::CampaignJournal::replay(cold_dir);
+  ASSERT_TRUE(cold.has_campaign);
+  EXPECT_TRUE(cold.cold);
+  EXPECT_EQ(cold.root_seed, 2003u);
+  EXPECT_EQ(cold.spec_count, 3u);
+  const auto forked = config::CampaignJournal::replay(forked_dir);
+  ASSERT_TRUE(forked.has_campaign);
+  EXPECT_FALSE(forked.cold);
+  EXPECT_NE(read_text(cold_dir + "/journal.jsonl").find("\"cold\":true"),
+            std::string::npos);
+  EXPECT_EQ(read_text(forked_dir + "/journal.jsonl").find("cold"),
+            std::string::npos);
+  cleanup_journal_dir(forked_dir);
+
+  // A checksum-valid campaign record with a mistyped key is corrupt as a
+  // whole: it leaves no campaign identity behind.
+  std::remove((cold_dir + "/journal.jsonl").c_str());
+  append_text(cold_dir + "/journal.jsonl",
+              config::json::seal("campaign-journal-v1", "record",
+                                 config::json::Value::parse(
+                                     R"({"event":"campaign","root_seed":1,)"
+                                     R"("scale":1,"specs":1,"cold":1})"))
+                      .dump() +
+                  "\n");
+  const auto mistyped = config::CampaignJournal::replay(cold_dir);
+  EXPECT_FALSE(mistyped.has_campaign);
+  EXPECT_EQ(mistyped.corrupt_lines, 1u);
+  cleanup_journal_dir(cold_dir);
+}
+
 TEST(CampaignJournal, CorruptAndTornLinesAreSkippedAndCounted) {
   const std::string dir = "journal_corrupt_test";
   {

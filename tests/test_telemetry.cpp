@@ -524,15 +524,17 @@ TEST(TelemetryIntegration, SamplerDoesNotPerturbTheSimulation) {
   config::ScenarioRunner runner(ro);
   const auto plain = runner.run(base, 11);
   const auto with = runner.run(observed, 11);
-  // The sampler's ticks are calendar events, so the executed-event count
-  // grows by exactly the ticks; the model's outputs must not move at all.
-  EXPECT_GE(with.events, plain.events);
   EXPECT_EQ(plain.to_json().find("probe")->dump(),
             with.to_json().find("probe")->dump());
   EXPECT_TRUE(plain.telemetry.is_null());
   ASSERT_FALSE(with.telemetry.is_null());
   EXPECT_EQ(with.telemetry.find("schema")->as_string(), "telemetry-v1");
-  EXPECT_FALSE(with.telemetry.find("timeline")->find("points")->items().empty());
+  const auto& points = with.telemetry.find("timeline")->find("points")->items();
+  EXPECT_FALSE(points.empty());
+  // Each sampler tick is one calendar event and records one timeline point,
+  // so the executed-event count grows by exactly the points: the sampler
+  // schedules nothing else and the model schedules nothing differently.
+  EXPECT_EQ(with.events, plain.events + points.size());
 }
 
 TEST(TelemetryIntegration, ResultTelemetryRoundTripsThroughTheCache) {

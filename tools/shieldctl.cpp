@@ -343,16 +343,21 @@ int cmd_run(const RunArgs& a) {
   std::vector<std::optional<config::RunOutcome>> adopted(specs.size());
   std::size_t adopted_count = 0, requeued_count = 0;
   if (!a.journal_dir.empty()) {
+    // Forked and cold runs of one (spec, seed) differ, so the journal
+    // records which of the two this campaign computes.
+    const bool cold = a.no_prefix || !a.flight_dump.empty();
     const auto replay = config::CampaignJournal::replay(a.journal_dir);
     if (replay.has_campaign &&
         (replay.root_seed != a.seed || replay.scale != a.scale ||
-         replay.spec_count != specs.size())) {
+         replay.spec_count != specs.size() || replay.cold != cold)) {
       std::fprintf(stderr,
                    "journal: '%s' belongs to a different campaign (seed %llu "
-                   "scale %g over %zu specs); refusing to mix results\n",
+                   "scale %g over %zu specs, %s runs); refusing to mix "
+                   "results\n",
                    a.journal_dir.c_str(),
                    static_cast<unsigned long long>(replay.root_seed),
-                   replay.scale, replay.spec_count);
+                   replay.scale, replay.spec_count,
+                   replay.cold ? "cold" : "forked");
       return 2;
     }
     try {
@@ -362,7 +367,7 @@ int cmd_run(const RunArgs& a) {
       return 2;
     }
     if (!replay.has_campaign) {
-      journal->write_campaign(a.seed, a.scale, specs.size());
+      journal->write_campaign(a.seed, a.scale, specs.size(), cold);
     }
     if (replay.corrupt_lines > 0) {
       std::fprintf(stderr,

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verify flow, three builds: the plain build + tests + end-to-end
-# CLI smokes (registry, cache repair, telemetry, reporters, trace export,
-# blame, campaigns and their chaos gates), then the same tests under
+# Tier-1 verify flow, three builds: the plain build + tests + the
+# benchmark's own unit tests + end-to-end CLI smokes (registry, cache
+# repair, telemetry, reporters, trace export, blame, campaigns and their
+# resume and chaos gates), then the same tests under
 # ASan+UBSan so the calendar's slot reuse and the threaded bench
 # SweepRunner stay sanitizer-clean, then ThreadSanitizer over the
 # concurrency-bearing suites.
@@ -15,6 +16,10 @@ jobs="$(nproc 2>/dev/null || echo 2)"
 cmake --preset default
 cmake --build --preset default -j "${jobs}"
 ctest --preset default
+
+# The benchmark's own arithmetic: fastest-round estimator, set-up median,
+# host scale, metric names, and BENCHMARK.json against what run.py prints.
+python3 perfbench/test_perfbench.py
 
 # Whole-registry smoke: every built-in scenario through the parallel
 # ScenarioRunner at 1% scale. Exits nonzero when any scenario misses its
@@ -341,6 +346,30 @@ report = json.load(open(sys.argv[1]))
 assert report["incomplete"] == 1, report
 assert report["outcomes"][0]["status"] == "incomplete", report
 EOF
+
+# Mixed resumes: forked and cold runs of one (spec, seed) give different
+# results, so a journal written by one kind of campaign must refuse a
+# resume by the other (exit 2) and be left exactly as it was. --no-prefix
+# runs cold; --flight-dump forces fresh cold runs too.
+mixed_resume() {  # mixed_resume DIR ARGS...: resume DIR with ARGS added
+  local dir="$1" rc=0; shift
+  rm -rf "${cachedir}/mixed-before"
+  cp -r "${dir}" "${cachedir}/mixed-before"
+  ./build/tools/shieldctl run fig2 fig3 --smoke --journal "${dir}" "$@" \
+    > /dev/null 2>&1 || rc=$?
+  if [ "${rc}" -ne 2 ]; then
+    echo "verify: mixed resume of ${dir} with '$*' exited ${rc}, want 2"
+    exit 1
+  fi
+  diff -r "${dir}" "${cachedir}/mixed-before"
+}
+rm -rf "${cachedir}/camp-forked" "${cachedir}/camp-cold"
+./build/tools/shieldctl run fig2 fig3 --smoke \
+  --journal "${cachedir}/camp-forked" > /dev/null
+./build/tools/shieldctl run fig2 fig3 --smoke --flight-dump full \
+  --journal "${cachedir}/camp-cold" > /dev/null
+mixed_resume "${cachedir}/camp-forked" --no-prefix
+mixed_resume "${cachedir}/camp-cold"
 
 # Write-ahead journal, resumability and the chaos gate. Baseline: one
 # uninterrupted supervised campaign over the whole registry.
