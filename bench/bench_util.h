@@ -21,27 +21,17 @@ struct Options {
   bool paper = false;
   /// Worker threads for config sweeps (0 = all hardware threads).
   unsigned jobs = 0;
-  /// Enable the latency-chain tracer and print each case's worst-sample
-  /// decomposition after the regular figure output. Off by default: the
-  /// default output stays byte-identical with the tracer disabled.
-  bool trace = false;
-  /// Write the latency report (counters + worst chains) as JSON to this
-  /// path (a per-case suffix is appended by multi-case benches). Implies
-  /// --trace. Rendered by `tools/report.py latency`.
-  std::string trace_json;
 
   static void usage(const char* argv0, std::FILE* to) {
     std::fprintf(
         to,
-        "usage: %s [--paper] [--seed N] [--scale X] [--jobs N] [--trace]"
-        " [--trace-json FILE]\n"
+        "usage: %s [--paper] [--seed N] [--scale X] [--jobs N]\n"
         "  --paper           run at ~10x the default sample counts\n"
-        "  --seed N          RNG seed (default 2003)\n"
+        "  --seed N          root RNG seed (default 2003; each scenario's"
+        " seed\n"
+        "                    derives from it by name, as in shieldctl)\n"
         "  --scale X         multiply sample counts by X\n"
-        "  --jobs N          sweep worker threads (default: all cores)\n"
-        "  --trace           decompose worst-case samples into kernel-path"
-        " segments\n"
-        "  --trace-json FILE also write the latency report as JSON\n",
+        "  --jobs N          sweep worker threads (default: all cores)\n",
         argv0);
   }
 
@@ -69,12 +59,6 @@ struct Options {
       } else if (std::strcmp(argv[i], "--jobs") == 0) {
         need_value(i);
         o.jobs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-      } else if (std::strcmp(argv[i], "--trace") == 0) {
-        o.trace = true;
-      } else if (std::strcmp(argv[i], "--trace-json") == 0) {
-        need_value(i);
-        o.trace_json = argv[++i];
-        o.trace = true;
       } else if (std::strcmp(argv[i], "--help") == 0) {
         usage(argv[0], stdout);
         std::exit(0);

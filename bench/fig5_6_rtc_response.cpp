@@ -10,59 +10,14 @@
 // smaller for runtime, with the contended-lock probability documented in
 // DESIGN.md calibrated for this scale. Use --paper for longer runs.
 //
-// The scenarios are registry entries fig5/fig6; --trace re-runs them with
-// runner hooks (which bypass the result cache) to capture the worst-sample
-// latency chain.
+// The scenarios are registry entries fig5/fig6. `shieldctl blame fig6`
+// with the same --seed and --scale decomposes the worst sample of exactly
+// the fig6 run this bench prints.
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "bench_util.h"
-#include "kernel/trace_export.h"
 #include "scenario_bench.h"
-#include "sim/rng.h"
-
-namespace {
-
-struct TraceCapture {
-  std::string text;    ///< worst-sample decomposition, ready to print
-  std::string report;  ///< latency_report_json payload (may be empty)
-};
-
-config::ScenarioRunner::Hooks trace_hooks(const std::string& title,
-                                          TraceCapture& out) {
-  config::ScenarioRunner::Hooks hooks;
-  hooks.configured = [](config::Platform& p) {
-    p.engine().chain_tracer().enable();
-  };
-  hooks.finished = [&out, title](config::Platform& p, rt::Probe& probe) {
-    if (probe.worst_chain()) {
-      out.text = "\nworst-sample decomposition:\n" +
-                 probe.worst_chain()->format();
-    } else {
-      out.text = "\nworst-sample decomposition: no chain captured\n";
-    }
-    std::vector<kernel::NamedChain> chains;
-    if (probe.worst_chain()) {
-      chains.push_back(kernel::NamedChain{title, *probe.worst_chain()});
-    }
-    out.report = kernel::latency_report_json(p.kernel(), chains);
-  };
-  return hooks;
-}
-
-void write_report(const TraceCapture& cap, const std::string& path) {
-  if (path.empty()) return;
-  if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-    std::fputs(cap.report.c_str(), f);
-    std::fclose(f);
-    std::printf("latency report written to %s\n", path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-  }
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const auto opt = bench::Options::parse(argc, argv);
@@ -77,27 +32,9 @@ int main(int argc, char** argv) {
   const auto specs = bench::specs_for({"fig5", "fig6"});
   auto runner = bench::make_runner(opt);
 
-  std::vector<config::ScenarioResult> results;
-  if (opt.trace) {
-    // Hooks need live Platform/Probe state, so trace runs are serial and
-    // uncached; the default path below stays parallel.
-    const char* tags[] = {"fig5", "fig6"};
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      TraceCapture cap;
-      results.push_back(runner.run(specs[i],
-                                   sim::derive_seed(opt.seed, specs[i].name),
-                                   trace_hooks(specs[i].title, cap)));
-      std::fputs(results[i].render(specs[i]).c_str(), stdout);
-      std::fputs(cap.text.c_str(), stdout);
-      if (!opt.trace_json.empty()) {
-        write_report(cap, opt.trace_json + "." + tags[i] + ".json");
-      }
-    }
-  } else {
-    results = runner.run_batch(specs, opt.seed);
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      std::fputs(results[i].render(specs[i]).c_str(), stdout);
-    }
+  const auto results = runner.run_batch(specs, opt.seed);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    std::fputs(results[i].render(specs[i]).c_str(), stdout);
   }
 
   std::printf(

@@ -8,15 +8,14 @@
 //
 // Paper: min 11 us, avg 11.3 us, max 27 us over 10,000,000 interrupts.
 // The scenario is the registry entry fig7; this binary renders it.
+// `shieldctl blame fig7` with the same --seed and --scale decomposes its
+// worst sample.
 #include <cstdio>
 #include <span>
-#include <vector>
 
 #include "bench_util.h"
-#include "kernel/trace_export.h"
 #include "metrics/report.h"
 #include "scenario_bench.h"
-#include "sim/rng.h"
 
 using namespace sim::literals;
 
@@ -33,31 +32,7 @@ int main(int argc, char** argv) {
   const auto specs = bench::specs_for({"fig7"});
   auto runner = bench::make_runner(opt);
 
-  std::string trace_text;
-  std::string trace_report;
-  config::ScenarioRunner::Hooks hooks;
-  if (opt.trace) {
-    hooks.configured = [](config::Platform& p) {
-      p.engine().chain_tracer().enable();
-    };
-    hooks.finished = [&](config::Platform& p, rt::Probe& probe) {
-      if (probe.worst_chain()) {
-        trace_text = "\nworst-sample decomposition:\n" +
-                     probe.worst_chain()->format();
-      } else {
-        trace_text = "\nworst-sample decomposition: no chain captured\n";
-      }
-      std::vector<kernel::NamedChain> chains;
-      if (probe.worst_chain()) {
-        chains.push_back(kernel::NamedChain{"Figure 7: RCIM shielded",
-                                            *probe.worst_chain()});
-      }
-      trace_report = kernel::latency_report_json(p.kernel(), chains);
-    };
-  }
-
-  const auto r =
-      runner.run(specs[0], sim::derive_seed(opt.seed, specs[0].name), hooks);
+  const auto r = runner.run_batch(specs, opt.seed)[0];
 
   if (!r.probe.complete) {
     std::printf("WARNING: only %llu/%llu samples collected\n",
@@ -74,19 +49,6 @@ int main(int argc, char** argv) {
           .c_str(),
       stdout);
   std::fputs(metrics::ascii_histogram(r.probe.primary).c_str(), stdout);
-
-  if (opt.trace) {
-    std::fputs(trace_text.c_str(), stdout);
-    if (!opt.trace_json.empty()) {
-      if (std::FILE* f = std::fopen(opt.trace_json.c_str(), "w")) {
-        std::fputs(trace_report.c_str(), f);
-        std::fclose(f);
-        std::printf("latency report written to %s\n", opt.trace_json.c_str());
-      } else {
-        std::fprintf(stderr, "cannot write %s\n", opt.trace_json.c_str());
-      }
-    }
-  }
 
   std::printf(
       "\nPaper reference: min 11 us / avg 11.3 us / max 27 us; "

@@ -12,7 +12,6 @@
 
 #include "config/telemetry_export.h"
 #include "fault/injector.h"
-#include "kernel/trace_export.h"
 #include "metrics/report.h"
 #include "sim/arena.h"
 #include "sim/rng.h"
@@ -263,6 +262,17 @@ Platform* new_platform(const ScenarioSpec& spec, const Presets& presets,
   return p;
 }
 
+/// What the snapshot check compares beside the result: the whole telemetry
+/// registry (every per-CPU latency counter and lock total) and the chain
+/// tracer's statistics.
+std::string kernel_counters_text(Platform& p) {
+  const sim::ChainTracer& t = p.engine().chain_tracer();
+  return p.engine().telemetry().prometheus_text() + "chains " +
+         std::to_string(t.opened()) + " " + std::to_string(t.completed()) +
+         " " + std::to_string(t.abandoned()) + " " +
+         std::to_string(t.dropped()) + "\n";
+}
+
 }  // namespace
 
 // ---- PrefixCache -----------------------------------------------------------
@@ -469,7 +479,7 @@ ScenarioRunner::LiveRun::LiveRun(const Options& opt, const ScenarioSpec& spec,
   // stops at the first slice boundary where the probe reports done. The
   // check cadence derives from the probe's own nominal duration — not the
   // horizon — so duration-policy slack can never shift the stop time (and
-  // therefore never perturbs the latency report or telemetry timeline).
+  // therefore never perturbs the kernel counters or telemetry timeline).
   // Otherwise the slices only pace the watchdog checks: often enough to
   // matter, rarely enough that the loop itself is noise.
   sample_bound_ = spec.duration.fixed_ns == 0 && probe_->base_duration() > 0;
@@ -833,8 +843,7 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec,
   // cached (a later dump-free run would otherwise read a byte-identical
   // entry, which is fine, but a later dump run would get a cache hit with
   // no recording attached).
-  const bool observed = hooks.configured != nullptr ||
-                        hooks.finished != nullptr ||
+  const bool observed = hooks.finished != nullptr ||
                         opt_.flight_dump != Options::FlightDump::kOff;
   // Hooks need a cold platform built in this very call; everything else
   // may fork a shared prefix when the runner has prefix_reuse on.
@@ -884,7 +893,6 @@ ScenarioResult ScenarioRunner::run_cold(const ScenarioSpec& spec,
                                        const Hooks& hooks) {
   spec.validate();
   const std::unique_ptr<Platform> p(new_platform(spec, Presets(spec), seed));
-  if (hooks.configured) hooks.configured(*p);
   LiveRun run(opt_, spec, seed, *p);
   try {
     run.finish();
@@ -973,15 +981,15 @@ ScenarioRunner::SnapshotCheck ScenarioRunner::snapshot_bit_identity(
   SnapshotCheck out;
 
   // Baseline: the ordinary malloc-hosted, uninterrupted run, with a
-  // finished-hook grabbing the latency report at the same point the
+  // finished-hook grabbing the kernel counters at the same point the
   // arena-hosted extractions below will.
-  std::string baseline_latency;
+  std::string baseline_counters;
   Hooks hooks;
   hooks.finished = [&](Platform& p, rt::Probe&) {
-    baseline_latency = kernel::latency_report_json(p.kernel(), {});
+    baseline_counters = kernel_counters_text(p);
   };
   out.baseline = run_cold(spec, seed, hooks).to_json().dump(2) + "\n" +
-                 baseline_latency;
+                 baseline_counters;
 
   // The same lifecycle hosted in an arena and paused at mid-horizon: take
   // a snapshot, finish and extract; then restore and finish and extract
@@ -994,10 +1002,10 @@ ScenarioRunner::SnapshotCheck ScenarioRunner::snapshot_bit_identity(
     Platform* p = new_platform(spec, presets, seed);
     auto* run = new LiveRun(opt_, spec, seed, *p);
     const auto extract = [&](std::string& into) {
-      // Latency report first, where the baseline's finished hook takes it.
-      const std::string latency = kernel::latency_report_json(p->kernel(), {});
+      // Counters first, where the baseline's finished hook takes them.
+      const std::string counters = kernel_counters_text(*p);
       const std::string blob =
-          run->result().to_json().dump(2) + "\n" + latency;
+          run->result().to_json().dump(2) + "\n" + counters;
       scope.pause();
       into.assign(blob.data(), blob.size());
       scope.resume();
@@ -1206,33 +1214,6 @@ json::Value attribution_rollup(const std::vector<RunOutcome>& outcomes) {
     }
   }
   return attribution_rollup_json(docs);
-}
-
-std::vector<ScenarioSpec> expand_grid(const ScenarioSpec& base,
-                                      const json::Value& grid) {
-  if (!grid.is_object()) {
-    throw std::runtime_error("scenario grid must be a JSON object");
-  }
-  std::vector<ScenarioSpec> out{base};
-  for (const auto& [key, values] : grid.members()) {
-    if (!values.is_array() || values.items().empty()) {
-      throw std::runtime_error("grid key '" + key +
-                               "' must map to a non-empty array");
-    }
-    std::vector<ScenarioSpec> next;
-    next.reserve(out.size() * values.items().size());
-    for (const auto& s : out) {
-      for (const auto& v : values.items()) {
-        ScenarioSpec ns = s;
-        ns.name += "/" + key + "=" +
-                   (v.is_string() ? v.as_string() : v.dump());
-        ns.probe_params.set(key, v);
-        next.push_back(std::move(ns));
-      }
-    }
-    out = std::move(next);
-  }
-  return out;
 }
 
 }  // namespace config

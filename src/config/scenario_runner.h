@@ -216,12 +216,10 @@ class ScenarioRunner {
   };
 
   /// Observation points for runs that need more than the cacheable result
-  /// (e.g. --trace). Any hook forces a fresh simulation: hooks see live
-  /// Platform/Probe state the cache cannot reproduce.
+  /// (e.g. shieldctl stat's Prometheus text). Any hook forces a fresh, cold
+  /// simulation: hooks see live Platform/Probe state the cache cannot
+  /// reproduce.
   struct Hooks {
-    /// After workloads are installed, before the runner arms its flight
-    /// ring, chain tracer and blame collector and builds the probe.
-    std::function<void(Platform&)> configured;
     /// After the horizon has elapsed, before the result is extracted.
     std::function<void(Platform&, rt::Probe&)> finished;
   };
@@ -245,8 +243,9 @@ class ScenarioRunner {
   /// an ordinary uninterrupted run, an arena-hosted run snapshotted at
   /// mid-horizon and continued, and a restore of that snapshot replayed to
   /// the horizon — and return each run's full serialized output (scenario
-  /// result + kernel latency report). `identical` means all three are
-  /// byte-for-byte equal, which is the soundness gate for fork reuse.
+  /// result + telemetry registry text + chain-tracer statistics).
+  /// `identical` means all three are byte-for-byte equal, which is the
+  /// soundness gate for fork reuse.
   struct SnapshotCheck {
     bool identical = false;
     std::size_t snapshot_bytes = 0;
@@ -350,12 +349,5 @@ class ScenarioRunner {
 /// rolls up to the same bytes as an uninterrupted one.
 [[nodiscard]] json::Value attribution_rollup(
     const std::vector<RunOutcome>& outcomes);
-
-/// Expand a parameter grid over a base spec: `grid` is a JSON object
-/// mapping probe-parameter keys to arrays of values; the result is the
-/// cartesian product, each copy named `<base>/<key>=<value>/...` with the
-/// value substituted into probe_params. Order: last key varies fastest.
-[[nodiscard]] std::vector<ScenarioSpec> expand_grid(const ScenarioSpec& base,
-                                                    const json::Value& grid);
 
 }  // namespace config

@@ -23,6 +23,12 @@ namespace {
 using json::Value;
 using Clock = std::chrono::steady_clock;
 
+/// Respawn backoff after an abnormal worker death: the k-th consecutive
+/// death of a slot waits min(kBackoffCapS, kBackoffBaseS * 2^(k-1)) plus a
+/// deterministic jitter drawn from SeedDomain::kRespawn.
+constexpr double kBackoffBaseS = 0.05;
+constexpr double kBackoffCapS = 2.0;
+
 // ---- pipe line protocol -----------------------------------------------------
 
 /// Blocking write of a full buffer; EINTR-safe. False on EPIPE (peer gone)
@@ -398,17 +404,15 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
       slot.death_streak++;
       const int shift = std::min(slot.death_streak - 1, 16);
       const double delay =
-          std::min(opt_.backoff_cap_s,
-                   opt_.backoff_base_s *
+          std::min(kBackoffCapS,
+                   kBackoffBaseS *
                        static_cast<double>(std::uint64_t{1} << shift)) +
           jitter_s(stats_.worker_crashes + stats_.worker_hangs);
-      if (delay > 0.0) {
-        slot.in_backoff = true;
-        slot.backoff_until =
-            Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>(delay));
-        stats_.backoff_total_s += delay;
-      }
+      slot.in_backoff = true;
+      slot.backoff_until =
+          Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                             std::chrono::duration<double>(delay));
+      stats_.backoff_total_s += delay;
     } else {
       slot.death_streak = 0;
     }

@@ -46,11 +46,6 @@ class Supervisor {
     /// Heartbeat budget: a busy worker silent for longer is declared hung
     /// and SIGKILLed. 0 disables hang detection.
     double hang_timeout_s = 0.0;
-    /// Respawn backoff after an abnormal worker death: delay for the k-th
-    /// consecutive death of a slot is min(cap, base * 2^(k-1)) plus a
-    /// deterministic jitter drawn from SeedDomain::kRespawn.
-    double backoff_base_s = 0.05;
-    double backoff_cap_s = 2.0;
     /// Runner configuration for each worker. `jobs` is forced to 1 —
     /// parallelism comes from the pool — and `prefix_reuse` works as usual
     /// within a worker.

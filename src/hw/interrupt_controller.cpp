@@ -1,6 +1,7 @@
 #include "hw/interrupt_controller.h"
 
 #include <string>
+#include <utility>
 
 #include "sim/assert.h"
 
@@ -13,8 +14,6 @@ InterruptController::InterruptController(sim::Engine& engine,
     : engine_(engine), topo_(topo), rng_(engine.rng().split()) {
   affinity_.fill(topo.all_cpus());
   last_target_.fill(0);
-  raised_at_.fill(0);
-  has_raise_.fill(false);
   telemetry::Registry& reg = engine_.telemetry();
   reg.gauge("irq.raised", "device edges asserted per IRQ line", kMaxIrq,
             "irq", [this](int irq) {
@@ -85,11 +84,6 @@ void InterruptController::raise(Irq irq) {
     tracer.abandon(pending);
     pending = tracer.open("irq" + std::to_string(irq), engine_.now());
   }
-  // The raise timestamp follows the same edge-triggered supersede rule as
-  // the chain, but is stamped unconditionally: dispatch-latency accounting
-  // must work with the tracer compiled out.
-  raised_at_[static_cast<std::size_t>(irq)] = engine_.now();
-  has_raise_[static_cast<std::size_t>(irq)] = true;
   for (int c = 0; c < copies; ++c) {
     const CpuId target = route(irq);
     deliveries_[static_cast<std::size_t>(irq)]
@@ -100,16 +94,9 @@ void InterruptController::raise(Irq irq) {
   }
 }
 
-InterruptController::PendingRaise InterruptController::take_pending(Irq irq) {
+sim::ChainId InterruptController::take_pending(Irq irq) {
   SIM_ASSERT(irq >= 0 && irq < kMaxIrq);
-  PendingRaise out;
-  out.chain = chains_[static_cast<std::size_t>(irq)];
-  out.raised_at = raised_at_[static_cast<std::size_t>(irq)];
-  out.has_raise = has_raise_[static_cast<std::size_t>(irq)];
-  chains_[static_cast<std::size_t>(irq)] = {};
-  raised_at_[static_cast<std::size_t>(irq)] = 0;
-  has_raise_[static_cast<std::size_t>(irq)] = false;
-  return out;
+  return std::exchange(chains_[static_cast<std::size_t>(irq)], {});
 }
 
 std::uint64_t InterruptController::raise_count(Irq irq) const {

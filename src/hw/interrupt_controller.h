@@ -48,22 +48,12 @@ class InterruptController {
   /// Device edge: route and deliver after the wire delay.
   void raise(Irq irq);
 
-  /// What the most recent raise of this line left behind: the latency chain
-  /// opened at raise time (invalid id when chain tracing is off or the
-  /// raise was already consumed) and the raise timestamp itself
-  /// (has_raise false when already consumed; stamped unconditionally, so
-  /// dispatch-latency accounting works even in no-trace builds).
-  struct PendingRaise {
-    sim::ChainId chain{};
-    sim::Time raised_at = 0;
-    bool has_raise = false;
-  };
-
-  /// Detach the pending raise of this line. The dispatching pipeline calls
-  /// this exactly once per delivery, so the chain's first segment and the
-  /// auditor's raise→dispatch sample both cover wire delay plus any time
-  /// the line sat masked, from the same timestamp.
-  PendingRaise take_pending(Irq irq);
+  /// Detach the latency chain the most recent raise of this line opened
+  /// (invalid id when chain tracing is off or the raise was already
+  /// consumed). The dispatching pipeline calls this exactly once per
+  /// delivery, so the chain's first segment covers wire delay plus any time
+  /// the line sat masked.
+  sim::ChainId take_pending(Irq irq);
 
   /// Total raises per line (for accounting like /proc/interrupts).
   [[nodiscard]] std::uint64_t raise_count(Irq irq) const;
@@ -90,8 +80,6 @@ class InterruptController {
   std::array<CpuMask, kMaxIrq> affinity_{};
   std::array<CpuId, kMaxIrq> last_target_{};
   std::array<sim::ChainId, kMaxIrq> chains_{};  ///< pending latency chains
-  std::array<sim::Time, kMaxIrq> raised_at_{};  ///< pending raise timestamps
-  std::array<bool, kMaxIrq> has_raise_{};       ///< raised_at_ slot occupied
   std::array<std::uint64_t, kMaxIrq> raises_{};
   std::array<std::array<std::uint64_t, 64>, kMaxIrq> deliveries_{};
 };

@@ -32,18 +32,11 @@ sim::ChainId IrqPipeline::note_dispatch(hw::CpuId cpu, int vector) {
   eng.flight_recorder().record(eng.now(), telemetry::EventKind::kIrqDispatch,
                                cpu, vector);
   if (vector < 0) return {};
-  // One consumer per delivery: the raise timestamp and the chain leave the
-  // controller together, so the auditor's dispatch sample and the chain's
-  // irq-raise segment cover the identical interval (wire delay + any time
-  // the line sat pending).
-  const hw::InterruptController::PendingRaise pending =
-      k_.interrupt_controller().take_pending(vector);
-  if (pending.has_raise) {
-    k_.auditor().irq_dispatched(cpu, eng.now() - pending.raised_at);
-  }
-  eng.chain_tracer().mark(pending.chain, sim::SegmentKind::kIrqRaise, cpu,
-                          eng.now());
-  return pending.chain;
+  // One consumer per delivery: the chain leaves the controller here, so its
+  // irq-raise segment covers wire delay plus any time the line sat pending.
+  const sim::ChainId chain = k_.interrupt_controller().take_pending(vector);
+  eng.chain_tracer().mark(chain, sim::SegmentKind::kIrqRaise, cpu, eng.now());
+  return chain;
 }
 
 // ---- in-band ---------------------------------------------------------------------
@@ -178,7 +171,6 @@ void OobPipeline::on_runnable(Task& t) {
   t.on_runqueue = false;
   t.last_wake = now;
   t.freshly_woken = true;
-  k_.auditor().task_woken(now);
   k_.take_wake_chain(t);
   switches_++;
   const sim::Duration cost = k_.config().oob_switch_cost;

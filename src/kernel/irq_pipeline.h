@@ -18,10 +18,10 @@
 //     modelling the cycles the oob core steals.
 //
 // The pipeline also owns the one shared piece of dispatch bookkeeping
-// (note_dispatch): flight-recorder event, latency-chain pickup, and the
-// latency auditor's raise→dispatch histogram all read the same
-// InterruptController timestamp, so ChainTracer segments and auditor numbers
-// agree by construction instead of by parallel hand-rolled arithmetic.
+// (note_dispatch): the flight-recorder dispatch event and the latency
+// chain's irq-raise segment are written at the same call, by whichever
+// stage services the vector, so the ring and the chain agree by
+// construction instead of by parallel hand-rolled call sites.
 #pragma once
 
 #include <cstdint>
@@ -73,10 +73,9 @@ class IrqPipeline {
 
   /// Shared dispatch bookkeeping, called exactly once per delivered vector
   /// by whichever stage services it: records the flight-recorder dispatch
-  /// event, collects the pending latency chain opened at raise time, marks
-  /// its irq-raise segment, and feeds the raise→dispatch latency into the
-  /// auditor's per-CPU dispatch histogram. Returns the chain (invalid for
-  /// pseudo vectors or when tracing is off).
+  /// event, collects the pending latency chain opened at raise time and
+  /// marks its irq-raise segment. Returns the chain (invalid for pseudo
+  /// vectors or when tracing is off).
   sim::ChainId note_dispatch(hw::CpuId cpu, int vector);
 
  protected:

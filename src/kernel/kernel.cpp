@@ -372,7 +372,6 @@ void Kernel::make_runnable(Task& t) {
   t.state = TaskState::kReady;
   t.last_wake = engine_.now();
   t.freshly_woken = true;
-  auditor_.task_woken(engine_.now());
   take_wake_chain(t);
   hw::CpuId target = sched_->select_cpu(
       t, t.effective_affinity, [this](hw::CpuId c) { return cpu_idle(c); });
@@ -418,13 +417,12 @@ void Kernel::take_wake_chain(Task& t) {
   wake_chain_ = {};
 }
 
-std::optional<sim::LatencyChain> Kernel::finish_latency_chain(Task& t) {
-  if (!t.chain.valid()) return std::nullopt;
-  auto out = engine_.chain_tracer().close(t.chain, sim::SegmentKind::kKernelExit,
-                                          t.cpu, engine_.now());
+void Kernel::finish_latency_chain(Task& t) {
+  if (!t.chain.valid()) return;
+  const auto out = engine_.chain_tracer().close(
+      t.chain, sim::SegmentKind::kKernelExit, t.cpu, engine_.now());
   t.chain = {};
   if (out.has_value() && blame_ != nullptr) blame_->on_sample(*out);
-  return out;
 }
 
 // ---- kernel timers ------------------------------------------------------------------
@@ -568,11 +566,10 @@ Task* Kernel::find_task(const std::string& name) {
 // ---- telemetry ------------------------------------------------------------------------
 
 const std::vector<LatencyCounterView>& latency_counter_views() {
-  // Order is the render order of /proc/latency/cpuN and of each per-CPU
-  // object in latency_report_json. The PR 2 counters come first (existing
-  // consumers parse by key, but stable order keeps text diffs quiet); the
-  // fault-visible counters (softirq floods, lock-holder delays, SMI stalls)
-  // follow.
+  // Order is the render order of /proc/latency/cpuN. The PR 2 counters
+  // come first (existing consumers parse by key, but stable order keeps
+  // text diffs quiet); the fault-visible counters (softirq floods,
+  // lock-holder delays, SMI stalls) follow.
   static const std::vector<LatencyCounterView> kViews = {
       {"spin_wait_ns", "kernel.spin_wait_ns"},
       {"bkl_hold_ns", "kernel.bkl_hold_ns"},
@@ -732,8 +729,8 @@ void Kernel::register_proc_files() {
   });
   // Per-CPU latency counters (the tracing subsystem's always-on half):
   // where each CPU's response-time budget went, in ns. Rendered from the
-  // telemetry registry through the shared view table, so this file and
-  // kernel::latency_report_json cannot drift apart.
+  // telemetry registry through the shared view table, so this file and the
+  // registry's own exports cannot drift apart.
   for (hw::CpuId c = 0; c < topo_.logical_cpus(); ++c) {
     procfs_.register_file(
         "/proc/latency/cpu" + std::to_string(c), [this, c] {

@@ -123,10 +123,10 @@ struct CpuState {
   [[nodiscard]] bool irqs_enabled() const { return irq_off_depth == 0; }
 };
 
-/// One per-CPU latency counter exposed through both `/proc/latency/cpuN`
-/// and kernel::latency_report_json. `key` is the procfs/JSON field name;
-/// `series` is the telemetry-registry metric both render from — sharing the
-/// table is what keeps the two export paths agreeing by construction.
+/// One per-CPU latency counter exposed through `/proc/latency/cpuN`. `key`
+/// is the procfs field name; `series` is the telemetry-registry metric it
+/// renders from, so procfs, the registry's Prometheus text and stat's
+/// telemetry-v1 document agree by construction.
 struct LatencyCounterView {
   const char* key;
   const char* series;
@@ -324,10 +324,10 @@ class Kernel {
 
   /// Close the latency chain riding on `t` (attached by the wakeup that made
   /// it runnable) at the current time, stamping the trailing in-kernel work
-  /// as kernel-exit. Returns the completed chain, or nullopt when chain
-  /// tracing is off / no chain was attached. rt tests call this from their
-  /// behaviors at each sample's observation point.
-  std::optional<sim::LatencyChain> finish_latency_chain(Task& t);
+  /// as kernel-exit, and offer the completed chain to the blame collector.
+  /// No-op when chain tracing is off / no chain was attached. rt tests call
+  /// this from their behaviors at each sample's observation point.
+  void finish_latency_chain(Task& t);
 
   /// Attach (or detach, with nullptr) the blame collector that observes
   /// every latency chain closed through finish_latency_chain. Strictly

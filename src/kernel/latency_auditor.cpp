@@ -37,18 +37,10 @@ void LatencyAuditor::preempt_enabled(int cpu, sim::Time now) {
   c.preempt_off.add(now - c.preempt_off_since);
 }
 
-void LatencyAuditor::task_woken(sim::Time /*now*/) {}
-
-void LatencyAuditor::irq_dispatched(int cpu, sim::Duration latency) {
-  cpus_[static_cast<std::size_t>(cpu)].dispatch.add(latency);
-}
-
 void LatencyAuditor::task_scheduled_in(sim::Time wake_time, sim::Time now,
                                        bool rt) {
-  if (now < wake_time) return;  // task was never off the CPU
-  const sim::Duration lat = now - wake_time;
-  sched_latency_.add(lat);
-  if (rt) rt_sched_latency_.add(lat);
+  // now < wake_time: the task was never off the CPU.
+  if (rt && now >= wake_time) rt_sched_latency_.add(now - wake_time);
 }
 
 const metrics::LatencyHistogram& LatencyAuditor::irq_off(int cpu) const {
@@ -57,10 +49,6 @@ const metrics::LatencyHistogram& LatencyAuditor::irq_off(int cpu) const {
 
 const metrics::LatencyHistogram& LatencyAuditor::preempt_off(int cpu) const {
   return cpus_[static_cast<std::size_t>(cpu)].preempt_off;
-}
-
-const metrics::LatencyHistogram& LatencyAuditor::irq_dispatch(int cpu) const {
-  return cpus_[static_cast<std::size_t>(cpu)].dispatch;
 }
 
 sim::Duration LatencyAuditor::worst_irq_off() const {
@@ -75,10 +63,8 @@ void LatencyAuditor::reset() {
   for (auto& c : cpus_) {
     c.irq_off.clear();
     c.preempt_off.clear();
-    c.dispatch.clear();
   }
   rt_sched_latency_.clear();
-  sched_latency_.clear();
 }
 
 sim::Duration LatencyAuditor::worst_preempt_off() const {

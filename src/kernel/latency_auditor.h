@@ -9,7 +9,7 @@
 //    preemptible kernel that is preempt_count > 0; on vanilla every
 //    in-kernel interval counts.
 //
-// plus per-task scheduling latency (wakeup → first run). Benches use it to
+// plus RT scheduling latency (wakeup → first run). Benches use it to
 // report "worst observed holdoff" per kernel configuration, the number the
 // low-latency work optimised directly.
 #pragma once
@@ -30,27 +30,14 @@ class LatencyAuditor {
   void irqs_unmasked(int cpu, sim::Time now);
   void preempt_disabled(int cpu, sim::Time now);
   void preempt_enabled(int cpu, sim::Time now);
-  void task_woken(sim::Time now);  // reserved for rate stats
   void task_scheduled_in(sim::Time wake_time, sim::Time now, bool rt);
-  /// Raise→dispatch latency of one delivered device interrupt (wire delay
-  /// plus any time the line sat pending). Fed by IrqPipeline::note_dispatch
-  /// from the InterruptController's raise timestamp — the same instant the
-  /// ChainTracer's irq-raise segment starts, so the two agree exactly.
-  void irq_dispatched(int cpu, sim::Duration latency);
 
   // ---- results ------------------------------------------------------------------
   [[nodiscard]] const metrics::LatencyHistogram& irq_off(int cpu) const;
   [[nodiscard]] const metrics::LatencyHistogram& preempt_off(int cpu) const;
-  /// Per-CPU raise→dispatch latency of delivered device interrupts.
-  /// Memory-only (not exported through any registry gauge or procfs view):
-  /// exports would perturb the byte-identity gates on pre-refactor output.
-  [[nodiscard]] const metrics::LatencyHistogram& irq_dispatch(int cpu) const;
   /// Wakeup→run latency over all CPUs, RT tasks only.
   [[nodiscard]] const metrics::LatencyHistogram& rt_sched_latency() const {
     return rt_sched_latency_;
-  }
-  [[nodiscard]] const metrics::LatencyHistogram& sched_latency() const {
-    return sched_latency_;
   }
 
   /// Worst irq-off / preempt-off interval across all CPUs.
@@ -65,7 +52,6 @@ class LatencyAuditor {
   struct PerCpu {
     metrics::LatencyHistogram irq_off;
     metrics::LatencyHistogram preempt_off;
-    metrics::LatencyHistogram dispatch;
     sim::Time irq_off_since = 0;
     sim::Time preempt_off_since = 0;
     bool irq_off_active = false;
@@ -73,7 +59,6 @@ class LatencyAuditor {
   };
   std::vector<PerCpu> cpus_;
   metrics::LatencyHistogram rt_sched_latency_;
-  metrics::LatencyHistogram sched_latency_;
 };
 
 }  // namespace kernel

@@ -12,17 +12,13 @@ class CyclicTest::Behavior final : public kernel::Behavior {
 
   kernel::Action next_action(kernel::Kernel& k, kernel::Task& t) override {
     const sim::Time now = k.now();
-    auto chain = k.finish_latency_chain(t);
+    k.finish_latency_chain(t);
     if (waited_ && !owner_.done() && owner_.timer_ >= 0) {
       const sim::Time expiry = k.timer_last_expiry(owner_.timer_);
       if (expiry > 0 && now >= expiry) {
         // How late did we run after the expiry that woke us?
         owner_.latencies_.add(now - expiry);
         owner_.collected_++;
-        if (chain && (!owner_.worst_chain_ ||
-                      chain->total() > owner_.worst_chain_->total())) {
-          owner_.worst_chain_ = std::move(chain);
-        }
       }
     }
     if (owner_.done()) return kernel::ExitAction{};

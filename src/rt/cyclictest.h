@@ -12,11 +12,9 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "kernel/kernel.h"
 #include "metrics/histogram.h"
-#include "sim/trace.h"
 
 namespace rt {
 
@@ -43,12 +41,6 @@ class CyclicTest {
     return latencies_;
   }
 
-  /// Decomposition of the worst wakeup latency observed so far. Present
-  /// only when the engine's chain tracer was enabled before start().
-  [[nodiscard]] const std::optional<sim::LatencyChain>& worst_chain() const {
-    return worst_chain_;
-  }
-
  private:
   class Behavior;
 
@@ -59,7 +51,6 @@ class CyclicTest {
   kernel::Kernel::TimerId timer_ = -1;
   sim::Time last_expiry_ = 0;
   metrics::LatencyHistogram latencies_;
-  std::optional<sim::LatencyChain> worst_chain_;
   std::uint64_t collected_ = 0;
 };
 

@@ -40,11 +40,6 @@ hw::CpuMask cpu_mask(std::int64_t cpu) {
   return cpu < 0 ? hw::CpuMask{} : hw::CpuMask::single(static_cast<int>(cpu));
 }
 
-const std::optional<sim::LatencyChain>& no_chain() {
-  static const std::optional<sim::LatencyChain> none;
-  return none;
-}
-
 // ---- determinism ----------------------------------------------------------
 
 class DeterminismProbe final : public Probe {
@@ -144,9 +139,6 @@ class RealfeelProbe final : public Probe {
     r.complete = test_->done();
     return r;
   }
-  const std::optional<sim::LatencyChain>& worst_chain() const override {
-    return test_->worst_chain();
-  }
 
  private:
   int irq_;
@@ -212,9 +204,6 @@ class RcimProbe final : public Probe {
     r.stats["overruns"] = static_cast<double>(test_->overruns());
     return r;
   }
-  const std::optional<sim::LatencyChain>& worst_chain() const override {
-    return test_->worst_chain();
-  }
 
  private:
   int irq_ = -1;
@@ -265,9 +254,6 @@ class CyclicProbe final : public Probe {
     r.expected = 0;
     r.complete = true;
     return r;
-  }
-  const std::optional<sim::LatencyChain>& worst_chain() const override {
-    return test_->worst_chain();
   }
 
  private:
@@ -336,9 +322,6 @@ class TimerGapProbe final : public Probe {
     r.complete = true;
     return r;
   }
-  const std::optional<sim::LatencyChain>& worst_chain() const override {
-    return no_chain();
-  }
 
  private:
   struct State {
@@ -384,9 +367,6 @@ class HoldoffProbe final : public Probe {
         static_cast<double>(a.worst_preempt_off());
     return r;
   }
-  const std::optional<sim::LatencyChain>& worst_chain() const override {
-    return no_chain();
-  }
 
  private:
   config::Platform& platform_;
@@ -416,10 +396,6 @@ const std::map<std::string, Factory>& table() {
 }
 
 }  // namespace
-
-const std::optional<sim::LatencyChain>& Probe::worst_chain() const {
-  return no_chain();
-}
 
 std::vector<std::string> probe_names() {
   std::vector<std::string> names;

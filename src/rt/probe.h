@@ -11,14 +11,12 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "config/json.h"
 #include "config/platform.h"
 #include "metrics/histogram.h"
-#include "sim/trace.h"
 
 namespace rt {
 
@@ -56,10 +54,6 @@ class Probe {
   [[nodiscard]] virtual sim::Duration base_duration() const = 0;
   [[nodiscard]] virtual bool done() const = 0;
   [[nodiscard]] virtual ProbeResult result() const = 0;
-  /// Worst-sample decomposition when the chain tracer was enabled. Not
-  /// part of the cacheable result — reach it through ScenarioRunner hooks.
-  [[nodiscard]] virtual const std::optional<sim::LatencyChain>& worst_chain()
-      const;
 };
 
 /// All registered probe names, sorted.

@@ -12,7 +12,7 @@ class RcimTest::Behavior final : public kernel::Behavior {
 
   kernel::Action next_action(kernel::Kernel& k, kernel::Task& t) override {
     const sim::Time now = k.now();
-    auto chain = k.finish_latency_chain(t);
+    k.finish_latency_chain(t);
     if (waited_ && !owner_.done()) {
       auto& dev = owner_.driver_.device();
       // The user-space measurement: mmap'd count register.
@@ -22,10 +22,6 @@ class RcimTest::Behavior final : public kernel::Behavior {
       owner_.true_latencies_.add(truth);
       if (truth >= dev.period()) owner_.overruns_++;
       owner_.collected_++;
-      if (chain && (!owner_.worst_chain_ ||
-                    chain->total() > owner_.worst_chain_->total())) {
-        owner_.worst_chain_ = std::move(chain);
-      }
     }
     if (owner_.done()) return kernel::ExitAction{};
     waited_ = true;

@@ -7,12 +7,10 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "kernel/drivers/rcim_driver.h"
 #include "kernel/kernel.h"
 #include "metrics/histogram.h"
-#include "sim/trace.h"
 
 namespace rt {
 
@@ -47,12 +45,6 @@ class RcimTest {
   }
   [[nodiscard]] std::uint64_t overruns() const { return overruns_; }
 
-  /// Decomposition of the worst true latency observed so far. Present only
-  /// when the engine's chain tracer was enabled before start().
-  [[nodiscard]] const std::optional<sim::LatencyChain>& worst_chain() const {
-    return worst_chain_;
-  }
-
  private:
   class Behavior;
 
@@ -62,7 +54,6 @@ class RcimTest {
   kernel::Task* task_ = nullptr;
   metrics::LatencyHistogram latencies_;
   metrics::LatencyHistogram true_latencies_;
-  std::optional<sim::LatencyChain> worst_chain_;
   std::uint64_t collected_ = 0;
   std::uint64_t overruns_ = 0;
 };

@@ -12,17 +12,13 @@ class RealfeelTest::Behavior final : public kernel::Behavior {
 
   kernel::Action next_action(kernel::Kernel& k, kernel::Task& t) override {
     const sim::Time now = k.now();  // rdtsc after read() returned
-    auto chain = k.finish_latency_chain(t);
+    k.finish_latency_chain(t);
     if (have_prev_ && !owner_.done()) {
       const sim::Duration gap = now - prev_return_;
       const sim::Duration period = owner_.driver_.device().nominal_period();
       owner_.latencies_.add(gap > period ? gap - period : 0);
       owner_.wake_latencies_.add(now - owner_.driver_.device().last_fire());
       owner_.collected_++;
-      if (chain && (!owner_.worst_chain_ ||
-                    chain->total() > owner_.worst_chain_->total())) {
-        owner_.worst_chain_ = std::move(chain);
-      }
     }
     if (owner_.done()) return kernel::ExitAction{};
     prev_return_ = now;

@@ -7,12 +7,10 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "kernel/drivers/rtc_driver.h"
 #include "kernel/kernel.h"
 #include "metrics/histogram.h"
-#include "sim/trace.h"
 
 namespace rt {
 
@@ -45,12 +43,6 @@ class RealfeelTest {
     return wake_latencies_;
   }
 
-  /// Decomposition of the worst wake latency observed so far. Present only
-  /// when the engine's chain tracer was enabled before start().
-  [[nodiscard]] const std::optional<sim::LatencyChain>& worst_chain() const {
-    return worst_chain_;
-  }
-
  private:
   class Behavior;
 
@@ -60,7 +52,6 @@ class RealfeelTest {
   kernel::Task* task_ = nullptr;
   metrics::LatencyHistogram latencies_;
   metrics::LatencyHistogram wake_latencies_;
-  std::optional<sim::LatencyChain> worst_chain_;
   std::uint64_t collected_ = 0;
 };
 

@@ -1,6 +1,5 @@
 #include "sim/trace.h"
 
-#include <sstream>
 #include <utility>
 
 namespace sim {
@@ -33,19 +32,6 @@ Duration LatencyChain::total_for(SegmentKind k) const {
     if (s.kind == k) sum += s.span();
   }
   return sum;
-}
-
-std::string LatencyChain::format() const {
-  std::ostringstream os;
-  os << origin << ": total " << format_duration(total()) << "\n";
-  for (const auto& s : segments) {
-    os << "  +" << format_duration(s.begin - start) << "  "
-       << format_duration(s.span()) << "  " << to_string(s.kind);
-    if (s.cpu >= 0) os << " cpu" << s.cpu;
-    if (!s.detail.empty()) os << " (" << s.detail << ")";
-    os << "\n";
-  }
-  return os.str();
 }
 
 void ChainTracer::enable(std::size_t max_live) {

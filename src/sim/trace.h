@@ -70,8 +70,6 @@ struct LatencyChain {
   [[nodiscard]] Duration segment_total() const;
   /// Sum of the spans of every segment of one kind.
   [[nodiscard]] Duration total_for(SegmentKind k) const;
-  /// Human-readable decomposition, one line per segment.
-  [[nodiscard]] std::string format() const;
 };
 
 /// Records latency chains. Runtime-toggleable (`enable`/`disable`). Emit

@@ -6,6 +6,10 @@
 
 namespace telemetry {
 
+namespace {
+
+/// `s` escaped for use inside a JSON string literal: quote, backslash and
+/// every control character.
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -28,15 +32,12 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-namespace {
-
 // ---- Chrome Trace Event rendering -----------------------------------------
 //
-// The document is hand-assembled (like kernel/trace_export.cpp) so the
-// telemetry layer stays free of the config JSON dependency. Timestamps are
-// microseconds (the Trace Event unit); every complete event additionally
-// carries exact nanosecond begin/duration in args so validators never fight
-// the decimal rendering.
+// The document is hand-assembled so the telemetry layer stays free of the
+// config JSON dependency. Timestamps are microseconds (the Trace Event
+// unit); every complete event additionally carries exact nanosecond
+// begin/duration in args so validators never fight the decimal rendering.
 
 std::string us(std::uint64_t ns) {
   char buf[32];

@@ -33,11 +33,6 @@
 
 namespace telemetry {
 
-/// `s` escaped for use inside a JSON string literal: quote, backslash and
-/// every control character. The one escaper of the hand-assembled documents
-/// below config/ (this file's trace export and kernel/trace_export).
-[[nodiscard]] std::string json_escape(const std::string& s);
-
 // ---------------------------------------------------------------------------
 // Chrome Trace Event export
 // ---------------------------------------------------------------------------

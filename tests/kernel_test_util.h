@@ -1,8 +1,13 @@
-// Helpers for kernel-level tests: scripted tasks and a platform rig.
+// Helpers for kernel-level tests: scripted tasks and a platform rig; and a
+// per-test scratch directory for tests that write stores to disk.
 #pragma once
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "config/platform.h"
@@ -86,6 +91,15 @@ inline std::unique_ptr<config::Platform> vanilla_rig(std::uint64_t seed = 1) {
   return std::make_unique<config::Platform>(
       config::MachineConfig::dual_p3_xeon_933(),
       config::KernelConfig::vanilla_2_4_20(), seed);
+}
+
+/// A path of the calling test's own under the system temp directory, named
+/// after the test and the pid so concurrent test processes never share one.
+/// Nothing is created; remove it with std::filesystem::remove_all.
+inline std::string temp_dir(const std::string& test) {
+  return (std::filesystem::temp_directory_path() /
+          (test + "-" + std::to_string(::getpid())))
+      .string();
 }
 
 }  // namespace testutil

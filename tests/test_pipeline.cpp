@@ -1,9 +1,8 @@
-// The interrupt-delivery mechanism layer: shared dispatch bookkeeping
-// (auditor and chain tracer fed by the same IrqPipeline::note_dispatch
-// hook), mechanism-neutrality of the `mechanism` spec field for in-band
-// runs (digest, cache key and result bytes), and the out-of-band stage's
-// headline claim — sub-microsecond response on a stock kernel under loads
-// where the shielded in-band kernels sit at tens of microseconds.
+// The interrupt-delivery mechanism layer: mechanism-neutrality of the
+// `mechanism` spec field for in-band runs (digest, cache key and result
+// bytes), and the out-of-band stage's headline claim — sub-microsecond
+// response on a stock kernel under loads where the shielded in-band
+// kernels sit at tens of microseconds.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -38,40 +37,6 @@ config::ScenarioRunner::Options smoke_options() {
 }
 
 }  // namespace
-
-// ---- shared dispatch bookkeeping (note_dispatch) ----------------------------
-
-// The auditor's raise→dispatch histogram and the chain tracer's kIrqRaise
-// segment are fed by the same PendingRaise consumed once in
-// IrqPipeline::note_dispatch, so the worst chain's first segment must be a
-// sample the auditor also saw — agreement by construction, not by two
-// call sites staying in sync.
-TEST(PipelineBookkeeping, ChainRaiseSegmentIsAnAuditorDispatchSample) {
-  auto p = redhawk_rig(311);
-  p->engine().chain_tracer().enable();
-  rt::RealfeelTest::Params rp;
-  rp.samples = 2000;
-  rp.affinity = hw::CpuMask::single(1);
-  rt::RealfeelTest test(p->kernel(), p->rtc_driver(), rp);
-  p->boot();
-  p->shield().dedicate_cpu(1, test.task(), p->rtc_device().irq());
-  test.start();
-  p->run_for(5_s);
-  ASSERT_TRUE(test.done());
-
-  ASSERT_TRUE(test.worst_chain().has_value());
-  const sim::LatencyChain& c = *test.worst_chain();
-  ASSERT_FALSE(c.segments.empty());
-  ASSERT_EQ(c.segments.front().kind, sim::SegmentKind::kIrqRaise);
-  const sim::Duration raise_span =
-      c.segments.front().end - c.segments.front().begin;
-
-  const metrics::LatencyHistogram& dispatch =
-      p->kernel().auditor().irq_dispatch(1);
-  ASSERT_GT(dispatch.count(), 0u);
-  EXPECT_GE(raise_span, dispatch.min());
-  EXPECT_LE(raise_span, dispatch.max());
-}
 
 // ---- mechanism neutrality (in-band) -----------------------------------------
 

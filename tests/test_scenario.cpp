@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <functional>
 #include <set>
 #include <stdexcept>
@@ -13,6 +14,7 @@
 #include "config/json.h"
 #include "config/scenario.h"
 #include "config/scenario_runner.h"
+#include "kernel_test_util.h"
 #include "rt/probe.h"
 #include "sim/rng.h"
 #include "sim/time.h"
@@ -270,8 +272,7 @@ TEST(ScenarioRunner, MemoryCacheHitsAndIsExact) {
 }
 
 TEST(ScenarioRunner, DiskCachePersistsAcrossRunners) {
-  // Relative path: lands in the ctest working directory.
-  const std::string dir = "scenario_cache_test";
+  const std::string dir = testutil::temp_dir("scenario_cache_test");
   config::ScenarioRunner::Options ro;
   ro.scale = 0.005;
   ro.cache_dir = dir;
@@ -287,7 +288,7 @@ TEST(ScenarioRunner, DiskCachePersistsAcrossRunners) {
     EXPECT_TRUE(r.from_cache);
     EXPECT_EQ(r.to_json().dump(), first);
   }
-  std::remove((dir + "/" + spec.digest() + "-5-0.005-es1.json").c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ScenarioRunner, SampleBoundRunsStopOnceTheProbeBanksItsBudget) {
@@ -377,12 +378,12 @@ TEST(ScenarioRunner, HooksBypassTheCache) {
   config::ScenarioRunner runner(ro);
   const auto spec = spec_of("fig6");
   (void)runner.run(spec, 11);  // warm the cache
-  int configured = 0;
+  int finished = 0;
   config::ScenarioRunner::Hooks hooks;
-  hooks.configured = [&](config::Platform&) { ++configured; };
+  hooks.finished = [&](config::Platform&, rt::Probe&) { ++finished; };
   const auto r = runner.run(spec, 11, hooks);
   EXPECT_FALSE(r.from_cache);
-  EXPECT_EQ(configured, 1);
+  EXPECT_EQ(finished, 1);
 }
 
 TEST(ScenarioRunner, ResultJsonRoundTripPreservesHistograms) {
@@ -398,24 +399,6 @@ TEST(ScenarioRunner, ResultJsonRoundTripPreservesHistograms) {
   EXPECT_EQ(back.probe.primary.percentile(0.999),
             r.probe.primary.percentile(0.999));
   EXPECT_EQ(back.probe.primary.mean(), r.probe.primary.mean());
-}
-
-TEST(ScenarioRunner, ExpandGridIsCartesianLastKeyFastest) {
-  auto grid = config::json::Value::object();
-  auto rates = config::json::Value::array();
-  rates.push(512);
-  rates.push(1024);
-  auto samples = config::json::Value::array();
-  samples.push(100);
-  grid.set("rate_hz", std::move(rates));
-  grid.set("samples", std::move(samples));
-  const auto specs = config::expand_grid(spec_of("fig6"), grid);
-  ASSERT_EQ(specs.size(), 2u);
-  EXPECT_EQ(specs[0].name, "fig6/rate_hz=512/samples=100");
-  EXPECT_EQ(specs[1].name, "fig6/rate_hz=1024/samples=100");
-  EXPECT_EQ(specs[0].probe_params.find("rate_hz")->as_u64(), 512u);
-  EXPECT_EQ(specs[1].probe_params.find("rate_hz")->as_u64(), 1024u);
-  EXPECT_EQ(specs[0].probe_params.find("samples")->as_u64(), 100u);
 }
 
 TEST(ScenarioRunner, RunSeedsFansOut) {
@@ -509,7 +492,7 @@ TEST(ScenarioRunner, TransientSpecRetriesWithDerivedSeedAndCanRecover) {
   // result the retry seed will ask for, then run under a watchdog so tight
   // that any fresh simulation times out. Attempt 1 (fresh) times out;
   // attempt 2 hits the cache and succeeds -> kRetried.
-  const std::string dir = "scenario_cache_retry_test";
+  const std::string dir = testutil::temp_dir("scenario_cache_retry_test");
   auto s = spec_of("fig6");
   s.transient = true;
   const std::uint64_t seed = 77;
@@ -531,9 +514,7 @@ TEST(ScenarioRunner, TransientSpecRetriesWithDerivedSeedAndCanRecover) {
   EXPECT_TRUE(out.ok());
   ASSERT_TRUE(out.result.has_value());
   EXPECT_EQ(out.result->seed, retry_seed);
-  std::remove(
-      (dir + "/" + s.digest() + "-" + std::to_string(retry_seed) + "-0.005.json")
-          .c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ScenarioRunner, ForkedChildTimeoutAttachesItsOwnFlightRecording) {
@@ -615,7 +596,7 @@ std::string cache_file_path(const std::string& dir,
 }  // namespace
 
 TEST(ScenarioRunner, TruncatedCacheEntryIsQuarantinedAndRecomputed) {
-  const std::string dir = "scenario_cache_corrupt_test";
+  const std::string dir = testutil::temp_dir("scenario_cache_corrupt_test");
   const auto spec = spec_of("fig7");
   config::ScenarioRunner::Options ro;
   ro.scale = 0.005;
@@ -651,12 +632,11 @@ TEST(ScenarioRunner, TruncatedCacheEntryIsQuarantinedAndRecomputed) {
     EXPECT_TRUE(runner.run(spec, 5).from_cache);
     EXPECT_EQ(runner.cache_entries_recomputed(), 0u);
   }
-  std::remove(path.c_str());
-  std::remove((path + ".quarantined").c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ScenarioRunner, ChecksumMismatchIsQuarantinedAndRecomputed) {
-  const std::string dir = "scenario_cache_bitrot_test";
+  const std::string dir = testutil::temp_dir("scenario_cache_bitrot_test");
   const auto spec = spec_of("fig7");
   config::ScenarioRunner::Options ro;
   ro.scale = 0.005;
@@ -713,11 +693,12 @@ TEST(ScenarioRunner, ChecksumMismatchIsQuarantinedAndRecomputed) {
     EXPECT_EQ(runner.cache_entries_recomputed(), 1u);
     std::remove((path + ".quarantined").c_str());
   }
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ScenarioRunner, NestedCacheDirIsCreatedRecursively) {
-  const std::string dir = "scenario_cache_nest_test/a/b";
+  const std::string root = testutil::temp_dir("scenario_cache_nest_test");
+  const std::string dir = root + "/a/b";
   const auto spec = spec_of("fig7");
   config::ScenarioRunner::Options ro;
   ro.scale = 0.005;
@@ -730,16 +711,13 @@ TEST(ScenarioRunner, NestedCacheDirIsCreatedRecursively) {
   std::FILE* f = std::fopen(path.c_str(), "r");
   EXPECT_NE(f, nullptr) << path;
   if (f != nullptr) std::fclose(f);
-  std::remove(path.c_str());
-  std::remove("scenario_cache_nest_test/a/b");
-  std::remove("scenario_cache_nest_test/a");
-  std::remove("scenario_cache_nest_test");
+  std::filesystem::remove_all(root);
 }
 
 TEST(ScenarioRunner, UnusableCacheDirFallsBackToMemory) {
   // A cache_dir that collides with an existing *file* cannot be created;
   // the runner must warn and run memory-only, not crash.
-  const std::string file = "scenario_cache_collision_test";
+  const std::string file = testutil::temp_dir("scenario_cache_collision_test");
   {
     std::FILE* f = std::fopen(file.c_str(), "w");
     ASSERT_NE(f, nullptr);

@@ -3,9 +3,9 @@
 // multi-process executor (respawn with backoff, crash taxonomy, hang
 // detection, quarantine).
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -14,6 +14,7 @@
 #include "config/scenario_runner.h"
 #include "config/supervisor.h"
 #include "fault/fault_plan.h"
+#include "kernel_test_util.h"
 #include "sim/rng.h"
 #include "sim/time.h"
 
@@ -40,13 +41,6 @@ config::ScenarioSpec chaos_spec(fault::FaultKind kind) {
   return s;
 }
 
-/// Remove a journal directory created by a test (journal + exports).
-void cleanup_journal_dir(const std::string& dir) {
-  std::remove((dir + "/journal.jsonl").c_str());
-  std::remove((dir + "/supervisor.prom").c_str());
-  (void)::rmdir(dir.c_str());
-}
-
 std::string read_text(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return {};
@@ -70,7 +64,7 @@ void append_text(const std::string& path, const std::string& text) {
 // ---- campaign journal -------------------------------------------------------
 
 TEST(CampaignJournal, ReplayRoundTripsRecordsAndRetiresInFlight) {
-  const std::string dir = "journal_roundtrip_test";
+  const std::string dir = testutil::temp_dir("journal_roundtrip_test");
   config::RunOutcome done_out;
   done_out.name = "a";
   done_out.status = config::RunStatus::kOk;
@@ -101,7 +95,7 @@ TEST(CampaignJournal, ReplayRoundTripsRecordsAndRetiresInFlight) {
   EXPECT_EQ(replay.in_flight.count("b"), 1u);
   ASSERT_EQ(replay.incidents.size(), 1u);
   EXPECT_EQ(replay.incidents[0].find("type")->as_string(), "worker-crash");
-  cleanup_journal_dir(dir);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CampaignJournal, MissingFileYieldsEmptyReplay) {
@@ -116,8 +110,8 @@ TEST(CampaignJournal, CampaignRecordRoundTripsColdAndForked) {
   // Forked and cold runs of one (spec, seed) differ, so the campaign record
   // says which of the two a journal holds. A forked record has no "cold"
   // key at all: its line is the one journals have always carried.
-  const std::string cold_dir = "journal_cold_test";
-  const std::string forked_dir = "journal_forked_test";
+  const std::string cold_dir = testutil::temp_dir("journal_cold_test");
+  const std::string forked_dir = testutil::temp_dir("journal_forked_test");
   {
     config::CampaignJournal cold(cold_dir);
     cold.write_campaign(2003, 0.01, 3, true);
@@ -136,7 +130,7 @@ TEST(CampaignJournal, CampaignRecordRoundTripsColdAndForked) {
             std::string::npos);
   EXPECT_EQ(read_text(forked_dir + "/journal.jsonl").find("cold"),
             std::string::npos);
-  cleanup_journal_dir(forked_dir);
+  std::filesystem::remove_all(forked_dir);
 
   // A checksum-valid campaign record with a mistyped key is corrupt as a
   // whole: it leaves no campaign identity behind.
@@ -151,11 +145,11 @@ TEST(CampaignJournal, CampaignRecordRoundTripsColdAndForked) {
   const auto mistyped = config::CampaignJournal::replay(cold_dir);
   EXPECT_FALSE(mistyped.has_campaign);
   EXPECT_EQ(mistyped.corrupt_lines, 1u);
-  cleanup_journal_dir(cold_dir);
+  std::filesystem::remove_all(cold_dir);
 }
 
 TEST(CampaignJournal, CorruptAndTornLinesAreSkippedAndCounted) {
-  const std::string dir = "journal_corrupt_test";
+  const std::string dir = testutil::temp_dir("journal_corrupt_test");
   {
     config::CampaignJournal j(dir);
     j.write_campaign(7, 1.0, 1);
@@ -191,7 +185,7 @@ TEST(CampaignJournal, CorruptAndTornLinesAreSkippedAndCounted) {
   EXPECT_EQ(replay.done.count("a"), 1u);
   EXPECT_EQ(replay.done.count("evil"), 0u);  // bad checksum never trusted
   EXPECT_TRUE(replay.in_flight.empty());     // nameless start never applied
-  cleanup_journal_dir(dir);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CampaignJournal, MergedReportExcludesExecutionTaxonomy) {
@@ -248,7 +242,6 @@ TEST(Supervisor, HostCrashIsRespawnedWithBackoffAndCompletes) {
   config::Supervisor::Options so;
   so.workers = 1;
   so.max_respawns = 2;
-  so.backoff_base_s = 0.01;
   config::Supervisor sup(so);
   const auto report = sup.run({spec}, 2003);
 
@@ -278,7 +271,6 @@ TEST(Supervisor, RepeatCrasherIsQuarantinedWithCrashTaxonomy) {
   config::Supervisor::Options so;
   so.workers = 1;
   so.max_respawns = 0;  // first death is terminal
-  so.backoff_base_s = 0.01;
   config::Supervisor sup(so);
   const auto report = sup.run({spec}, 2003);
 
@@ -308,7 +300,6 @@ TEST(Supervisor, SilentWorkerIsKilledAndClassifiedHung) {
   so.workers = 1;
   so.max_respawns = 0;
   so.hang_timeout_s = 0.5;
-  so.backoff_base_s = 0.01;
   config::Supervisor sup(so);
   const auto report = sup.run({spec}, 2003);
 
@@ -323,7 +314,7 @@ TEST(Supervisor, SilentWorkerIsKilledAndClassifiedHung) {
 }
 
 TEST(Supervisor, JournalReplayReconstructsTheCampaignByteIdentically) {
-  const std::string dir = "supervisor_journal_test";
+  const std::string dir = testutil::temp_dir("supervisor_journal_test");
   const std::vector<config::ScenarioSpec> specs{spec_of("fig6"),
                                                 spec_of("fig7")};
   config::Supervisor::Options so;
@@ -355,5 +346,5 @@ TEST(Supervisor, JournalReplayReconstructsTheCampaignByteIdentically) {
   const auto prom = read_text(dir + "/supervisor.prom");
   EXPECT_NE(prom.find("shieldsim_supervisor_workers_alive"),
             std::string::npos);
-  cleanup_journal_dir(dir);
+  std::filesystem::remove_all(dir);
 }

@@ -1,7 +1,7 @@
 // The telemetry subsystem: registry semantics (counters, pull gauges,
 // idempotent registration, reset), Prometheus export shape, flight-recorder
 // ring behavior, sampler timelines, and the integration contracts — procfs
-// and latency_report_json agree field-for-field, telemetry leaves the
+// and the kernel's latency counters agree field-for-field, telemetry leaves the
 // simulation bit-identical, and a watchdog timeout yields a post-mortem
 // flight dump in the degraded-run report.
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include "config/scenario_runner.h"
 #include "config/telemetry_export.h"
 #include "kernel/kernel.h"
-#include "kernel/trace_export.h"
 #include "sim/engine.h"
 #include "sim/time.h"
 #include "telemetry/flight_recorder.h"
@@ -343,13 +342,14 @@ TEST(Sampler, StopCancelsAndARunDoesNotGrowPoints) {
   EXPECT_EQ(sampler.points().size(), n);
 }
 
-// ---- procfs and JSON agree (satellite) --------------------------------------
+// ---- procfs and the counters agree (satellite) ------------------------------
 
 TEST(TelemetryIntegration, ProcfsAndJsonReportTheSameCounters) {
   // Run a scenario whose plan exercises the PR 4 counters (softirq flood,
   // lock-holder delay), then check every /proc/latency/cpuN field against
-  // the matching latency_report_json field. Agreement is by construction —
-  // both render latency_counter_views() — but this pins the contract.
+  // Kernel::latency_counter for the same series. Agreement is by
+  // construction — procfs renders latency_counter_views() from the
+  // registry — but this pins the contract.
   auto spec = spec_of("faults-storm-shielded");
   fault::FaultSpec holder;
   holder.kind = fault::FaultKind::kLockHolderDelay;
@@ -367,36 +367,29 @@ TEST(TelemetryIntegration, ProcfsAndJsonReportTheSameCounters) {
   config::ScenarioRunner::Hooks hooks;
   hooks.finished = [&](config::Platform& p, rt::Probe&) {
     kernel::Kernel& k = p.kernel();
-    const auto doc = config::json::Value::parse(
-        kernel::latency_report_json(k, {}));
-    const auto* cpus = doc.find("cpus");
-    ASSERT_NE(cpus, nullptr);
-    ASSERT_EQ(cpus->items().size(), static_cast<std::size_t>(k.ncpus()));
     std::uint64_t softirq_raised = 0, lock_hold = 0;
     for (int c = 0; c < k.ncpus(); ++c) {
-      const auto& obj = cpus->items()[static_cast<std::size_t>(c)];
       const auto text =
           k.procfs().read("/proc/latency/cpu" + std::to_string(c)).value();
       for (const auto& view : kernel::latency_counter_views()) {
-        const auto* field = obj.find(view.key);
-        ASSERT_NE(field, nullptr) << view.key;
+        const std::uint64_t counter = k.latency_counter(view.series, c);
         // The procfs line for the same counter.
         const std::string needle = std::string(view.key) + " ";
         const auto pos = text.find(needle);
         ASSERT_NE(pos, std::string::npos) << view.key;
         const auto value = std::stoull(text.substr(pos + needle.size()));
-        EXPECT_EQ(field->as_u64(), value)
+        EXPECT_EQ(counter, value)
             << view.key << " on cpu" << c << " disagrees between "
-            << "/proc/latency/cpu" << c << " and latency_report_json";
+            << "/proc/latency/cpu" << c << " and Kernel::latency_counter";
         if (std::string(view.key) == "softirq_raised") {
-          softirq_raised += field->as_u64();
+          softirq_raised += counter;
         }
         if (std::string(view.key) == "lock_hold_ns") {
-          lock_hold += field->as_u64();
+          lock_hold += counter;
         }
       }
     }
-    // The PR 4 fault counters must actually be live in both exports.
+    // The PR 4 fault counters must actually be live in both views.
     EXPECT_GT(softirq_raised, 0u);
     EXPECT_GT(lock_hold, 0u);
     checked = true;

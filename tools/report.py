@@ -1,19 +1,17 @@
 #!/usr/bin/env python3
 """Render the simulator's JSON documents as text.
 
-  latency    bench --trace-json / latency_report_json: each chain's worst-
-             case decomposition (§6.2), per-CPU kernel time, spinlocks
-  telemetry  telemetry-v1 (shieldctl stat --json): counters and timeline
+  telemetry  telemetry-v1 (shieldctl stat): counters and timeline
              sparklines; --diff A B lists the series that moved between runs
-  blame      attribution-v1 / attribution-rollup-v1 (shieldctl blame --json,
-             a campaign's merged.json): top causes per miss band, worst samples
+  blame      attribution-v1 / attribution-rollup-v1 (shieldctl blame, a
+             campaign's merged.json): top causes per miss band, and each worst
+             sample's decomposition (§6.2)
 
 telemetry and blame also take run reports and `shieldctl run --json` arrays,
 rendering every entry that carries a document. Input that cannot be rendered
 exits 1 with one diagnostic naming the file, never a traceback. Stdlib only.
 
 Usage:
-  tools/report.py latency REPORT.json [REPORT.json ...]
   tools/report.py telemetry DOC.json [DOC.json ...] [--top N]
   tools/report.py telemetry --diff A.json B.json [--top N]
   tools/report.py blame DOC.json [DOC.json ...] [--top N]
@@ -74,88 +72,6 @@ def fmt_ns(ns):
 def print_more(rows, top, indent="  "):
     if top and len(rows) > top:
         print(f"{indent}... {len(rows) - top} more (raise --top)")
-
-
-# ---- latency ----------------------------------------------------------------
-def print_chain(label, chain):
-    total = chain.get("total_ns", 0)
-    print(f"\n== {label} ==")
-    segments = chain.get("segments", [])
-    print(f"origin {chain.get('origin', '?')}, total {fmt_ns(total)} "
-          f"({len(segments)} segments)")
-    if not segments:
-        print("  (no samples: the chain recorded zero segments)")
-        return
-
-    # Timeline: every segment in order.
-    print(f"  {'offset':>12}  {'span':>12}  {'%':>6}  segment")
-    for seg in segments:
-        pct = 100.0 * seg["span_ns"] / total if total else 0.0
-        where = seg["kind"]
-        if seg.get("cpu", -1) >= 0:
-            where += f" cpu{seg['cpu']}"
-        if seg.get("detail"):
-            where += f" ({seg['detail']})"
-        offset = seg["begin_ns"] - chain["start_ns"]
-        print(f"  {fmt_ns(offset):>12}  {fmt_ns(seg['span_ns']):>12}  "
-              f"{pct:5.1f}%  {where}")
-
-    # Attribution: aggregate by (kind, detail), largest first.
-    by_kind = {}
-    for seg in segments:
-        key = (seg["kind"], seg.get("detail", ""))
-        by_kind[key] = by_kind.get(key, 0) + seg["span_ns"]
-    print("  attribution:")
-    for (kind, detail), span in sorted(by_kind.items(), key=lambda kv: -kv[1]):
-        name = f"{kind} ({detail})" if detail else kind
-        pct = 100.0 * span / total if total else 0.0
-        print(f"    {fmt_ns(span):>12}  {pct:5.1f}%  {name}")
-    accounted = sum(by_kind.values())
-    if total and abs(accounted - total) > total * 0.01:
-        print(f"    WARNING: segments sum to {fmt_ns(accounted)}, "
-              f"not {fmt_ns(total)}")
-
-
-def find_latency(obj):
-    return [("", obj)] if "sim_time_ns" in obj else []
-
-
-def print_latency(name, report, _top):
-    if name:
-        print(f"# {name}")
-    print(f"simulated time: {fmt_ns(report['sim_time_ns'])}")
-
-    tracer = report.get("tracer", {})
-    if tracer:
-        state = "enabled" if tracer.get("enabled") else "disabled"
-        print(f"tracer: {state}; opened {tracer.get('opened', 0)}, "
-              f"completed {tracer.get('completed', 0)}, "
-              f"abandoned {tracer.get('abandoned', 0)}, "
-              f"dropped {tracer.get('dropped', 0)}")
-
-    for entry in report.get("chains", []):
-        print_chain(entry["label"], entry["chain"])
-
-    cpus = report.get("cpus", [])
-    if cpus:
-        print("\nper-CPU kernel time:")
-        print(f"  {'cpu':>3}  {'irq':>12}  {'softirq':>12}  {'spin-wait':>12}"
-              f"  {'bkl-hold':>12}  {'irq-off max':>12}  {'pre-off max':>12}")
-        keys = ("irq_ns", "softirq_ns", "spin_wait_ns", "bkl_hold_ns",
-                "irq_off_max_ns", "preempt_off_max_ns")
-        for c in cpus:
-            print(f"  {c['cpu']:>3}" +
-                  "".join(f"  {fmt_ns(c[k]):>12}" for k in keys))
-
-    locks = report.get("locks", [])
-    if locks:
-        print("\nspinlocks:")
-        print(f"  {'lock':<12}  {'acquisitions':>12}  {'contentions':>11}"
-              f"  {'wait':>12}  {'hold':>12}")
-        for l in locks:
-            print(f"  {l['lock']:<12}  {l['acquisitions']:>12}"
-                  f"  {l['contentions']:>11}  {fmt_ns(l['wait_ns']):>12}"
-                  f"  {fmt_ns(l['hold_ns']):>12}")
 
 
 # ---- telemetry --------------------------------------------------------------
@@ -334,15 +250,13 @@ def print_blame(name, doc, top):
 
 
 # ---- driver -----------------------------------------------------------------
-# subcommand -> (document kind, finder, renderer, default --top or None when
-# the subcommand takes no --top, where that document comes from)
+# subcommand -> (document kind, finder, renderer, default --top, where that
+# document comes from)
 COMMANDS = {
-    "latency": ("latency", find_latency, print_latency, None,
-                "bench --trace-json"),
     "telemetry": ("telemetry", find_telemetry, print_telemetry, 25,
-                  "`shieldctl stat --json` or `shieldctl run --telemetry`"),
+                  "`shieldctl stat` or `shieldctl run --telemetry`"),
     "blame": ("attribution", find_attribution, print_blame, 10,
-              "`shieldctl blame --json` or a campaign with telemetry.blame"),
+              "`shieldctl blame` or a campaign with telemetry.blame"),
 }
 
 
@@ -361,8 +275,6 @@ def collect(obj, path, command):
 def parse_top(args, default):
     if "--top" not in args:
         return default
-    if default is None:
-        raise ReportError("this subcommand takes no --top", 2)
     i = args.index("--top")
     del args[i]
     try:

@@ -7,19 +7,23 @@
 //                                       run scenarios (in parallel with
 //                                       --jobs), print figures or JSON
 //   shieldctl stat <scenario>           run one scenario with telemetry on
-//                                       and print its counters (table,
-//                                       --json or --prom)
+//                                       and print its telemetry-v1 document
+//                                       (or, with --prom, Prometheus text)
 //   shieldctl trace <scenario>          run one scenario with the timeline
 //                                       on and export Chrome Trace Event
 //                                       JSON (Perfetto / chrome://tracing)
 //   shieldctl blame <scenario>          run one scenario with attribution
-//                                       on and print where the worst
-//                                       samples' nanoseconds went
+//                                       on and print its attribution-v1
+//                                       document: where the worst samples'
+//                                       nanoseconds went
 //   shieldctl demo [--seconds S]        boot a loaded RedHawk box, shield
 //                                       CPU 1 live via /proc, show reports
 //   shieldctl inspect [--seconds S]     run stress-kernel and print the
 //                                       ps/vmstat/lock tables
-#include <algorithm>
+//
+// stat, trace and blame run the scenario cold at the seed `run` and the
+// figure benches give it, so they explain the run those print.
+// tools/report.py renders their documents as text.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -51,10 +55,10 @@ void usage(const char* argv0, std::FILE* to) {
       "  %s describe <scenario>\n"
       "  %s run <scenario>... [options]\n"
       "  %s run --all [options]\n"
-      "  %s stat <scenario> [--seed N] [--scale X] [--top N] [--json|--prom]\n"
+      "  %s stat <scenario> [--seed N] [--scale X] [--prom]\n"
       "  %s trace <scenario> [--seed N] [--scale X] --out FILE\n"
       "  %s blame <scenario> [--seed N] [--scale X] [--worst N]\n"
-      "           [--threshold NS] [--json]\n"
+      "           [--threshold NS]\n"
       "  %s demo [--seconds S] [--seed N]\n"
       "  %s inspect [--seconds S] [--seed N]\n"
       "run options:\n"
@@ -100,10 +104,16 @@ void usage(const char* argv0, std::FILE* to) {
       "                  outcomes too (M = full: the whole ring at run end;\n"
       "                  M = worst: the window around the worst observed\n"
       "                  probe sample); forces fresh, uncached runs\n"
+      "stat, trace and blame:\n"
+      "  --seed N        root RNG seed, as for run: the scenario runs at the\n"
+      "                  seed run derives from it by name, so these explain\n"
+      "                  the run that `run --no-prefix` and the figure\n"
+      "                  benches print. They always run cold; run's forked\n"
+      "                  default draws other streams. Render the JSON\n"
+      "                  with tools/report.py telemetry|blame.\n"
       "stat options:\n"
-      "  --top N         show the N largest series (default 25; 0 = all)\n"
-      "  --json          print the full telemetry document\n"
-      "  --prom          print the Prometheus text exposition\n"
+      "  --prom          print the Prometheus text exposition instead of the\n"
+      "                  telemetry-v1 document\n"
       "trace options:\n"
       "  --out FILE      write the trace-event-v1 JSON to FILE ('-' or\n"
       "                  omitted: stdout); open it in ui.perfetto.dev or\n"
@@ -111,9 +121,7 @@ void usage(const char* argv0, std::FILE* to) {
       "blame options:\n"
       "  --worst N       keep cause trees for the N worst samples (default 8)\n"
       "  --threshold NS  attribute every sample at or above NS, not just the\n"
-      "                  worst N\n"
-      "  --json          print the attribution-v1 document instead of the\n"
-      "                  rendered table\n",
+      "                  worst N\n",
       argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0);
 }
 
@@ -360,6 +368,19 @@ int cmd_run(const RunArgs& a) {
                    replay.cold ? "cold" : "forked");
       return 2;
     }
+    // Done records carry neither the scale nor the run kind, so without a
+    // campaign record nothing says which campaign computed them. A torn
+    // first line (killed during the first write) leaves no done records
+    // and still resumes.
+    if (!replay.has_campaign && !replay.done.empty()) {
+      std::fprintf(stderr,
+                   "journal: '%s' holds %zu completed outcome%s but no "
+                   "campaign record, so they cannot be checked against this "
+                   "campaign; refusing to adopt them\n",
+                   a.journal_dir.c_str(), replay.done.size(),
+                   replay.done.size() == 1 ? "" : "s");
+      return 2;
+    }
     try {
       journal = std::make_unique<config::CampaignJournal>(a.journal_dir);
     } catch (const std::exception& e) {
@@ -593,8 +614,6 @@ struct StatArgs {
   std::string name;
   std::uint64_t seed = 2003;
   double scale = 1.0;
-  std::size_t top = 25;
-  bool json = false;
   bool prom = false;
 };
 
@@ -614,11 +633,6 @@ StatArgs parse_stat(int argc, char** argv, int from) {
       a.scale = std::strtod(argv[++i], nullptr);
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       a.scale = 0.01;
-    } else if (std::strcmp(argv[i], "--top") == 0) {
-      need_value(i);
-      a.top = std::strtoul(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      a.json = true;
     } else if (std::strcmp(argv[i], "--prom") == 0) {
       a.prom = true;
     } else if (argv[i][0] == '-') {
@@ -649,41 +663,20 @@ int cmd_stat(const StatArgs& a) {
   config::ScenarioRunner runner(ro);
 
   // The registry lives on the engine inside the run's Platform, so the
-  // Prometheus text and the top-N snapshot must be harvested through the
-  // finished hook, while the platform is still alive.
+  // Prometheus text must be harvested through the finished hook, while the
+  // platform is still alive.
   std::string prom;
-  std::vector<telemetry::Registry::Sample> samples;
   config::ScenarioRunner::Hooks hooks;
   hooks.finished = [&](config::Platform& p, rt::Probe&) {
     prom = p.engine().telemetry().prometheus_text();
-    samples = p.engine().telemetry().snapshot();
   };
-  const auto r = runner.run(spec, a.seed, hooks);
+  const auto r = runner.run(spec, config::batch_seed(a.seed, spec), hooks);
 
   if (a.prom) {
     std::fputs(prom.c_str(), stdout);
-    return 0;
-  }
-  if (a.json) {
+  } else {
     std::printf("%s\n", r.telemetry.dump(2).c_str());
-    return 0;
   }
-  std::stable_sort(samples.begin(), samples.end(),
-                   [](const auto& x, const auto& y) { return x.value > y.value; });
-  std::printf("%s: %zu series after %llu events (seed %llu, scale %g)\n",
-              spec.name.c_str(), samples.size(),
-              static_cast<unsigned long long>(r.events),
-              static_cast<unsigned long long>(a.seed), a.scale);
-  std::size_t shown = 0;
-  for (const auto& s : samples) {
-    if (a.top != 0 && shown >= a.top) break;
-    if (s.value == 0) continue;  // quiet series are noise in a top table
-    std::printf("  %-44s %14llu  (%s)\n", s.series.c_str(),
-                static_cast<unsigned long long>(s.value),
-                to_string(s.kind));
-    ++shown;
-  }
-  if (shown == 0) std::printf("  (all series are zero)\n");
   return 0;
 }
 
@@ -697,7 +690,6 @@ struct ObserveArgs {
   std::string out;             ///< trace: output path ("" or "-" = stdout)
   int worst = 8;               ///< blame: worst-N cause trees
   std::uint64_t threshold = 0; ///< blame: attribute-everything-above floor
-  bool json = false;           ///< blame: raw document instead of the table
 };
 
 ObserveArgs parse_observe(int argc, char** argv, int from, const char* cmd) {
@@ -725,8 +717,6 @@ ObserveArgs parse_observe(int argc, char** argv, int from, const char* cmd) {
     } else if (std::strcmp(argv[i], "--threshold") == 0) {
       need_value(i);
       a.threshold = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      a.json = true;
     } else if (argv[i][0] == '-') {
       bad_arg(argv, (std::string("unknown option '") + argv[i] + "'").c_str());
     } else if (a.name.empty()) {
@@ -785,7 +775,7 @@ int cmd_trace(const ObserveArgs& a) {
                                        to);
   };
   try {
-    (void)runner.run(spec, a.seed, hooks);
+    (void)runner.run(spec, config::batch_seed(a.seed, spec), hooks);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "trace: %s\n", e.what());
     return 1;
@@ -833,81 +823,12 @@ int cmd_blame(const ObserveArgs& a) {
 
   config::ScenarioResult r;
   try {
-    r = runner.run(spec, a.seed);
+    r = runner.run(spec, config::batch_seed(a.seed, spec));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "blame: %s\n", e.what());
     return 1;
   }
-  const auto* attribution = r.telemetry.is_null()
-                                ? nullptr
-                                : r.telemetry.find("attribution");
-  if (attribution == nullptr) {
-    std::fprintf(stderr,
-                 "blame: run produced no attribution document (chain tracing "
-                 "compiled out?)\n");
-    return 1;
-  }
-  if (a.json) {
-    std::printf("%s\n", attribution->dump(2).c_str());
-    return 0;
-  }
-
-  const auto u64_of = [](const config::json::Value& v,
-                         const char* key) -> unsigned long long {
-    const auto* f = v.find(key);
-    return f == nullptr ? 0 : static_cast<unsigned long long>(f->as_u64());
-  };
-  const auto print_causes = [&](const config::json::Value& causes,
-                                const char* indent) {
-    // Sort by attributed nanoseconds, largest first; ties keep key order.
-    std::vector<std::pair<std::uint64_t, std::string>> rows;
-    for (const auto& [key, total] : causes.members()) {
-      rows.emplace_back(u64_of(total, "ns"), key);
-    }
-    std::stable_sort(rows.begin(), rows.end(), [](const auto& x, const auto& y) {
-      return x.first > y.first;
-    });
-    std::uint64_t sum = 0;
-    for (const auto& [ns, key] : rows) sum += ns;
-    for (const auto& [ns, key] : rows) {
-      const double share = sum == 0 ? 0.0 : 100.0 * static_cast<double>(ns) /
-                                                static_cast<double>(sum);
-      std::printf("%s%-36s %14s  %5.1f%%\n", indent, key.c_str(),
-                  sim::format_duration(static_cast<sim::Duration>(ns)).c_str(),
-                  share);
-    }
-  };
-
-  std::printf("%s: attribution over %llu probe sample%s (seed %llu, scale "
-              "%g)\n",
-              spec.name.c_str(), u64_of(*attribution, "samples_seen"),
-              u64_of(*attribution, "samples_seen") == 1 ? "" : "s",
-              static_cast<unsigned long long>(a.seed), a.scale);
-  if (const auto* bands = attribution->find("bands")) {
-    for (const auto& band : bands->items()) {
-      const auto* name = band.find("band");
-      std::printf("\nband %s — %llu sample%s\n",
-                  name != nullptr ? name->as_string().c_str() : "?",
-                  u64_of(band, "samples"),
-                  u64_of(band, "samples") == 1 ? "" : "s");
-      if (const auto* causes = band.find("causes")) {
-        print_causes(*causes, "  ");
-      }
-    }
-  }
-  if (const auto* worst = attribution->find("worst")) {
-    std::printf("\nworst samples:\n");
-    for (const auto& s : worst->items()) {
-      const auto* origin = s.find("origin");
-      std::printf("  %s — %s at t=%llu ns\n",
-                  origin != nullptr ? origin->as_string().c_str() : "?",
-                  sim::format_duration(
-                      static_cast<sim::Duration>(u64_of(s, "total_ns")))
-                      .c_str(),
-                  u64_of(s, "start_ns"));
-      if (const auto* causes = s.find("causes")) print_causes(*causes, "    ");
-    }
-  }
+  std::printf("%s\n", r.telemetry.at("attribution").dump(2).c_str());
   return 0;
 }
 

@@ -59,7 +59,7 @@ EOF
 # degraded-run report.
 ./build/tools/shieldctl stat faults-storm-shielded --smoke --prom \
   > "${cachedir}/telemetry.prom"
-./build/tools/shieldctl stat faults-storm-shielded --smoke --json \
+./build/tools/shieldctl stat faults-storm-shielded --smoke \
   > "${cachedir}/telemetry.json"
 ./build/tools/shieldctl run faults-storm-shielded --smoke --max-events 20000 \
   --report "${cachedir}/timeout-report.json" > /dev/null 2>&1 && {
@@ -145,8 +145,6 @@ python3 tools/report.py telemetry "${cachedir}/telemetry.json" > /dev/null
 # added/removed.
 : > "${cachedir}/empty.json"
 printf '{"truncated' > "${cachedir}/corrupt.json"
-printf '{"sim_time_ns":1,"chains":[{"label":"x"}]}' \
-  > "${cachedir}/shape-latency.json"
 printf '{"schema":"telemetry-v1","counters":{},"timeline":%s}' \
   '{"series":["a"],"points":[{"d":[[0]]}]}' > "${cachedir}/shape-telemetry.json"
 printf '{"schema":"attribution-v1","bands":[{"band":"x","causes":{"a":5}}]}' \
@@ -161,7 +159,7 @@ rejects() {  # rejects PATTERN COMMAND...: exit 1 with PATTERN, no traceback
     cat "${cachedir}/reporter-err.txt"; exit 1
   fi
 }
-for sub in latency telemetry blame; do
+for sub in telemetry blame; do
   rejects "empty" python3 tools/report.py "${sub}" "${cachedir}/empty.json"
   rejects "not valid JSON" python3 tools/report.py "${sub}" \
     "${cachedir}/corrupt.json"
@@ -207,8 +205,8 @@ done
 # Blame: the storm scenario's attribution document must fully partition
 # every worst sample (cause nanoseconds sum exactly to the sample total)
 # and its bands must account for every attributed sample; the renderer must
-# accept the raw document.
-./build/tools/shieldctl blame faults-storm-unshielded --smoke --json \
+# accept the document blame prints.
+./build/tools/shieldctl blame faults-storm-unshielded --smoke \
   > "${cachedir}/blame.json"
 python3 - "${cachedir}/blame.json" <<'EOF'
 import json, sys
@@ -222,6 +220,24 @@ for sample in doc["worst"]:
 assert sum(b["samples"] for b in doc["bands"]) == doc["samples_attributed"]
 EOF
 python3 tools/report.py blame "${cachedir}/blame.json" > /dev/null
+
+# Blame explains the reported run: blame runs cold at the seed `run` gives
+# the spec, so its attribution covers exactly the samples that
+# `run --no-prefix` banks, and its worst sample is that run's worst wake
+# latency (realfeel's secondary view: device raise to the reader's return).
+./build/tools/shieldctl blame fig6 --smoke > "${cachedir}/blame-fig6.json"
+./build/tools/shieldctl run fig6 --smoke --no-prefix --json \
+  > "${cachedir}/run-fig6.json"
+python3 - "${cachedir}/blame-fig6.json" "${cachedir}/run-fig6.json" <<'EOF'
+import json, sys
+blame = json.load(open(sys.argv[1]))
+probe = json.load(open(sys.argv[2]))[0]["result"]["probe"]
+assert blame["samples_seen"] == probe["collected"], (
+    blame["samples_seen"], probe["collected"])
+worst = blame["worst"][0]["total_ns"]
+assert worst == probe["secondary"]["summary"]["max"], (
+    worst, probe["secondary"]["summary"]["max"])
+EOF
 
 # Flight dumps on success: --flight-dump attaches a flight-recorder-v1 ring
 # to *successful* outcomes, in both full-ring and worst-sample-window
@@ -306,10 +322,10 @@ oob_faults ./build-asan/tools/shieldctl "${cachedir}/oob-asan-report.json"
 
 # Snapshot bit-identity, explicitly, in the hardened build: every builtin
 # spec must survive a mid-run capture/restore byte-identically (probe output,
-# latency JSON, telemetry timeline), and prefix-forked runs must match cold
-# runs. ctest above already covers these; the standalone invocations make the
-# gate visible and keep it failing loudly if the suites are ever renamed or
-# filtered out of the ctest registration.
+# telemetry registry and timeline, chain-tracer counts), and prefix-forked
+# runs must match cold runs. ctest above already covers these; the
+# standalone invocations make the gate visible and keep it failing loudly if
+# the suites are ever renamed or filtered out of the ctest registration.
 ./build-asan/tests/shieldsim_tests \
   --gtest_filter='SnapshotBitIdentity.*:PrefixReuse.*' --gtest_brief=1
 
@@ -370,6 +386,14 @@ rm -rf "${cachedir}/camp-forked" "${cachedir}/camp-cold"
   --journal "${cachedir}/camp-cold" > /dev/null
 mixed_resume "${cachedir}/camp-forked" --no-prefix
 mixed_resume "${cachedir}/camp-cold"
+
+# ...and a journal whose campaign record is gone cannot say which kind of
+# campaign its done records came from, so a resume must refuse it too.
+rm -rf "${cachedir}/camp-headless"
+./build/tools/shieldctl run fig2 fig3 --smoke --no-prefix \
+  --journal "${cachedir}/camp-headless" > /dev/null
+sed -i 1d "${cachedir}/camp-headless/journal.jsonl"
+mixed_resume "${cachedir}/camp-headless"
 
 # Write-ahead journal, resumability and the chaos gate. Baseline: one
 # uninterrupted supervised campaign over the whole registry.
