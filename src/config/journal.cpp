@@ -40,13 +40,14 @@ void CampaignJournal::write_record(json::Value record) {
 }
 
 void CampaignJournal::write_campaign(std::uint64_t root_seed, double scale,
-                                     std::size_t spec_count, bool cold) {
+                                     std::size_t spec_count,
+                                     const std::string& flight_dump) {
   Value r = Value::object();
   r.set("event", "campaign");
   r.set("root_seed", root_seed);
   r.set("scale", scale);
   r.set("specs", spec_count);
-  if (cold) r.set("cold", true);
+  if (!flight_dump.empty()) r.set("flight_dump", flight_dump);
   write_record(std::move(r));
 }
 
@@ -116,7 +117,9 @@ CampaignJournal::Replay CampaignJournal::replay(const std::string& dir) {
         if (const Value* v = rec->find("specs")) {
           out.spec_count = static_cast<std::size_t>(v->as_u64());
         }
-        if (const Value* v = rec->find("cold")) out.cold = v->as_bool();
+        if (const Value* v = rec->find("flight_dump")) {
+          out.flight_dump = v->as_string();
+        }
         // Set last, so a mistyped field leaves no half-read identity behind.
         out.has_campaign = true;
       } else if (kind == "start") {

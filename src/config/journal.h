@@ -6,10 +6,10 @@
 // record}, checksum = content digest of the record) around one of four
 // records:
 //
-//   campaign  — batch identity: root seed, scale, spec count, and whether
-//               every run is cold (unforked). Written once when the journal
-//               is created; replays refuse to adopt results across a change
-//               of any of them.
+//   campaign  — batch identity: root seed, scale, spec count, and the
+//               flight-dump mode when one is on. Written once when the
+//               journal is created; replays refuse to adopt results across
+//               a change of any of them.
 //   start     — a spec was handed to an executor (in-flight marker).
 //   done      — a spec reached a terminal outcome; carries the outcome's
 //               full wire form (RunOutcome::to_full_json), which is a pure
@@ -38,7 +38,10 @@ namespace config {
 
 class CampaignJournal {
  public:
-  static constexpr const char* kFormat = "campaign-journal-v1";
+  /// v2: every run is the cold run. v1 journals hold done records of
+  /// prefix-forked runs, so their lines fail the envelope check and their
+  /// specs are recomputed, never adopted.
+  static constexpr const char* kFormat = "campaign-journal-v2";
   static constexpr const char* kFileName = "journal.jsonl";
 
   /// Open (appending) DIR/journal.jsonl, creating the directory if needed.
@@ -55,12 +58,12 @@ class CampaignJournal {
   /// All writers are thread-safe (batch observers fire from worker threads)
   /// and flush before returning.
   ///
-  /// `cold`: the campaign runs every spec cold (no prefix fork). Forked and
-  /// cold runs of one (spec, seed) give different results, so a resume must
-  /// not mix them. The key is written only when true, which leaves a forked
-  /// campaign's record as it always was.
+  /// `flight_dump`: the runs' flight-dump mode ("full"/"worst"; empty when
+  /// off). A dump-mode run's done record carries its ring, so a resume must
+  /// not mix modes. The key is written only when a mode is on.
   void write_campaign(std::uint64_t root_seed, double scale,
-                      std::size_t spec_count, bool cold = false);
+                      std::size_t spec_count,
+                      const std::string& flight_dump = "");
   void write_start(const std::string& name, const std::string& digest,
                    std::uint64_t seed);
   void write_done(const std::string& name, const std::string& digest,
@@ -80,7 +83,7 @@ class CampaignJournal {
     std::uint64_t root_seed = 0;
     double scale = 1.0;
     std::size_t spec_count = 0;
-    bool cold = false;  ///< absent key: a forked campaign
+    std::string flight_dump;  ///< empty (absent key): no flight dumps
     std::map<std::string, Adopted> done;  ///< terminal outcomes by spec name
     std::set<std::string> in_flight;      ///< started, never finished
     std::vector<json::Value> incidents;

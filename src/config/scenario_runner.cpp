@@ -209,15 +209,7 @@ void quarantine_cache_file(const std::string& path) {
   (void)std::rename(path.c_str(), (path + ".quarantined").c_str());
 }
 
-// ---- prefix sharing ---------------------------------------------------------
-
-/// Root folded into every prefix-platform seed; the per-prefix seed is
-/// derived from the prefix key so identical prefixes are identical across
-/// processes and runs.
-constexpr std::uint64_t kPrefixSeedRoot = 0x707265666978ull;  // "prefix"
-
-/// Bound on distinct warmed prefixes kept resident (LRU beyond it).
-constexpr std::size_t kPrefixCacheEntries = 8;
+// ---- platform construction --------------------------------------------------
 
 /// Function-local statics in model code (the probe/workload factory maps,
 /// the kernel's latency-counter view table, stream/locale machinery) must
@@ -225,6 +217,9 @@ constexpr std::size_t kPrefixCacheEntries = 8;
 /// buffer landed in an arena would dangle once that arena rewinds. The
 /// factory maps are touched by ScenarioSpec::validate() (always called
 /// before any arena activates); this covers the rest, once per process.
+/// Every run calls it, though only the snapshot check hosts a platform in an
+/// arena: perfbench's set-up probe builds arena-hosted platforms after
+/// warming the process with one ordinary run, and relies on this.
 void warm_process_statics() {
   static std::once_flag once;
   std::call_once(once, [] {
@@ -238,7 +233,7 @@ void warm_process_statics() {
 /// A spec's machine preset and its kernel preset with overrides applied.
 /// Resolved on the ordinary heap, outside any arena: temporaries freed
 /// inside an arena would leave holes that the platform's own allocations
-/// then fill, changing the prefix's memory layout.
+/// then fill, changing the arena-hosted platform's memory layout.
 struct Presets {
   MachineConfig machine;
   KernelConfig kernel;
@@ -275,89 +270,16 @@ std::string kernel_counters_text(Platform& p) {
 
 }  // namespace
 
-// ---- PrefixCache -----------------------------------------------------------
-
-/// Bounded LRU of warmed prefixes. Each entry owns a pooled StateArena
-/// hosting a constructed, booted Platform plus the Snapshot taken right
-/// after boot. One run uses an entry at a time (Entry::mu); batch
-/// scheduling groups same-prefix specs onto one worker so the lock is
-/// uncontended on the hot path.
-class ScenarioRunner::PrefixCache {
- public:
-  struct Entry {
-    std::mutex mu;
-    sim::StateArena* arena = nullptr;  // pooled; returned by the destructor
-    Platform* platform = nullptr;      // arena-allocated; null until built
-    sim::Snapshot snap;
-    std::uint64_t prefix_seed = 0;
-    std::uint64_t last_used = 0;  // LRU tick, guarded by the cache mutex
-
-    Entry() : arena(sim::StateArena::acquire_pooled()) {}
-    ~Entry() {
-      if (platform != nullptr) {
-        sim::StateArena::Scope scope(*arena);
-        // Roll back to the snapshot first so the destructor walks the
-        // coherent post-boot object graph, not whatever state the last
-        // forked run left behind.
-        if (snap.valid()) snap.restore(*arena);
-        delete platform;
-      }
-      sim::StateArena::release_pooled(arena);
-    }
-    Entry(const Entry&) = delete;
-    Entry& operator=(const Entry&) = delete;
-  };
-
-  /// Look up or insert the entry for `key`. The caller locks the entry's
-  /// mutex and builds the prefix if `platform` is still null. When the
-  /// cache is full and every resident entry is in use, the returned entry
-  /// is transient (not cached) — correctness never waits on capacity.
-  std::shared_ptr<Entry> acquire(const std::string& key) {
-    const std::scoped_lock hold(mu_);
-    ++tick_;
-    if (const auto it = entries_.find(key); it != entries_.end()) {
-      it->second->last_used = tick_;
-      return it->second;
-    }
-    if (entries_.size() >= kPrefixCacheEntries) evict_one_unlocked();
-    auto entry = std::make_shared<Entry>();
-    entry->last_used = tick_;
-    if (entries_.size() < kPrefixCacheEntries) entries_.emplace(key, entry);
-    return entry;
-  }
-
- private:
-  void evict_one_unlocked() {
-    auto victim = entries_.end();
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (victim != entries_.end() &&
-          it->second->last_used >= victim->second->last_used) {
-        continue;
-      }
-      if (it->second->mu.try_lock()) {  // skip entries mid-run
-        it->second->mu.unlock();
-        victim = it;
-      }
-    }
-    if (victim != entries_.end()) entries_.erase(victim);
-  }
-
-  std::mutex mu_;
-  std::uint64_t tick_ = 0;
-  std::map<std::string, std::shared_ptr<Entry>> entries_;
-};
-
 // ---- LiveRun ---------------------------------------------------------------
 
 /// One scenario's lifecycle, from a platform with its workloads installed to
-/// the extracted result — the only copy of it: cold runs, forked runs and
-/// the snapshot check all drive this object. Construction arms the passive
-/// observers, builds the probe, boots (unless a warmed prefix already did),
-/// shields, starts the probe and arms the injector and sampler; midpoint()
-/// and finish() walk fixed slice boundaries under the watchdogs; result()
-/// extracts. Members are allocated wherever the active allocator puts
-/// them, so an arena-hosted LiveRun is rewound by a restore along with the
-/// platform it drives.
+/// the extracted result — the only copy of it: runs and the snapshot check
+/// both drive this object. Construction arms the passive observers, builds
+/// the probe, boots, shields, starts the probe and arms the injector and
+/// sampler; midpoint() and finish() walk fixed slice boundaries under the
+/// watchdogs; result() extracts. Members are allocated wherever the active
+/// allocator puts them, so an arena-hosted LiveRun is rewound by a restore
+/// along with the platform it drives.
 class ScenarioRunner::LiveRun {
  public:
   LiveRun(const Options& opt, const ScenarioSpec& spec, std::uint64_t seed,
@@ -405,10 +327,7 @@ ScenarioRunner::LiveRun::LiveRun(const Options& opt, const ScenarioSpec& spec,
   sim::Engine& engine = p.engine();
   // The flight recorder is passive (no events, no RNG, no model state), so
   // arming it alongside a watchdog cannot perturb the run it may have to
-  // explain. Armed before boot so the ring sees the earliest events too; on
-  // a fork it starts empty — the prefix is simulated with the recorder off
-  // and a restore wipes any previous child's entries — so a watchdog dump
-  // carries only this run's events.
+  // explain. Armed before boot so the ring sees the earliest events too.
   watchdog_ = opt.max_events > 0 || opt.wall_limit_s > 0.0;
   const bool worst = opt.flight_dump == Options::FlightDump::kWorst;
   const bool ring_opted =
@@ -435,11 +354,9 @@ ScenarioRunner::LiveRun::LiveRun(const Options& opt, const ScenarioSpec& spec,
     p.kernel().set_blame_collector(&*blame_);
   }
 
-  // A forked run builds its probe on a live kernel: probe tasks enter the
-  // scheduler as immediately runnable, which create_task supports.
   probe_ = rt::make_probe(spec.probe, p, spec.probe_params, opt.scale);
   apply_mechanism(spec, p, *probe_);
-  if (!p.kernel().started()) p.boot();
+  p.boot();
   apply_shield(spec, p, *probe_);
   probe_->start();
 
@@ -753,16 +670,6 @@ json::Value BatchReport::to_json() const {
   if (count(RunStatus::kCrashed) > 0) v.set("crashed", count(RunStatus::kCrashed));
   if (count(RunStatus::kHung) > 0) v.set("hung", count(RunStatus::kHung));
   v.set("cache_entries_recomputed", cache_entries_recomputed);
-  // Only present when the batch ran with prefix sharing, so reports from
-  // runners with the feature off keep their exact serialized form.
-  if (prefix_hits + prefix_misses > 0) {
-    Value pr = Value::object();
-    pr.set("hits", prefix_hits);
-    pr.set("misses", prefix_misses);
-    pr.set("hit_rate", static_cast<double>(prefix_hits) /
-                           static_cast<double>(prefix_hits + prefix_misses));
-    v.set("prefix_reuse", std::move(pr));
-  }
   // Per-mechanism pass/fail breakdown, present only when the batch actually
   // mixed mechanisms in (any non-default outcome) — all-inband reports keep
   // their exact serialized form.
@@ -801,7 +708,6 @@ json::Value BatchReport::to_json() const {
 
 ScenarioRunner::ScenarioRunner(Options opt)
     : opt_(std::move(opt)), sweep_(opt_.jobs) {
-  if (opt_.prefix_reuse) prefix_cache_ = std::make_unique<PrefixCache>();
   if (!opt_.cache_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(opt_.cache_dir, ec);
@@ -820,15 +726,12 @@ ScenarioRunner::ScenarioRunner(Options opt)
 ScenarioRunner::~ScenarioRunner() = default;
 
 std::string ScenarioRunner::cache_key(const std::string& digest,
-                                      std::uint64_t seed, bool forked) const {
-  // A forked run is deterministic but draws different streams than a cold
-  // run of the same (spec, seed), so the two must never share a cache slot.
-  // The marker is versioned with the fork semantics. "-es1" versions the
-  // early-stop horizon semantics (sample-bound runs end when the probe
-  // banks its budget, so latency/telemetry exports cover a shorter window
-  // than entries written before early stop existed).
+                                      std::uint64_t seed) const {
+  // "-es1" versions the early-stop horizon semantics (sample-bound runs end
+  // when the probe banks its budget, so latency/telemetry exports cover a
+  // shorter window than entries written before early stop existed).
   return digest + "-" + std::to_string(seed) + "-" + Value(opt_.scale).dump() +
-         "-es1" + (forked ? "-fork1" : "");
+         "-es1";
 }
 
 std::string ScenarioRunner::cache_path(const std::string& key) const {
@@ -838,17 +741,13 @@ std::string ScenarioRunner::cache_path(const std::string& key) const {
 ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec,
                                    std::uint64_t seed, const Hooks& hooks) {
   // A flight-dump run behaves like an observed one: the dump is not part
-  // of the cacheable result, so the run must be fresh (and cold, so the
-  // dump explains the cold run's numbers), and its result must not be
-  // cached (a later dump-free run would otherwise read a byte-identical
-  // entry, which is fine, but a later dump run would get a cache hit with
-  // no recording attached).
+  // of the cacheable result, so the run must be fresh, and its result must
+  // not be cached (a later dump-free run would otherwise read a
+  // byte-identical entry, which is fine, but a later dump run would get a
+  // cache hit with no recording attached).
   const bool observed = hooks.finished != nullptr ||
                         opt_.flight_dump != Options::FlightDump::kOff;
-  // Hooks need a cold platform built in this very call; everything else
-  // may fork a shared prefix when the runner has prefix_reuse on.
-  const bool forked = opt_.prefix_reuse && !observed;
-  const std::string key = cache_key(spec.digest(), seed, forked);
+  const std::string key = cache_key(spec.digest(), seed);
   if (opt_.cache && !observed) {
     {
       const std::scoped_lock hold(cache_mutex_);
@@ -876,8 +775,7 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec,
     }
   }
 
-  ScenarioResult r =
-      forked ? run_forked(spec, seed) : run_cold(spec, seed, hooks);
+  ScenarioResult r = simulate(spec, seed, hooks);
   if (opt_.cache && !observed) {
     const std::scoped_lock hold(cache_mutex_);
     memory_cache_[key] = r;
@@ -888,10 +786,11 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec,
   return r;
 }
 
-ScenarioResult ScenarioRunner::run_cold(const ScenarioSpec& spec,
+ScenarioResult ScenarioRunner::simulate(const ScenarioSpec& spec,
                                        std::uint64_t seed,
                                        const Hooks& hooks) {
   spec.validate();
+  warm_process_statics();
   const std::unique_ptr<Platform> p(new_platform(spec, Presets(spec), seed));
   LiveRun run(opt_, spec, seed, *p);
   try {
@@ -909,73 +808,6 @@ ScenarioResult ScenarioRunner::run_cold(const ScenarioSpec& spec,
   return run.result();
 }
 
-ScenarioResult ScenarioRunner::run_forked(const ScenarioSpec& spec,
-                                          std::uint64_t seed) {
-  spec.validate();  // also touches the factory-map statics (see warm note)
-  const Presets presets(spec);
-  warm_process_statics();
-
-  const std::string pkey = scenario_prefix_key(spec);
-  const auto entry = prefix_cache_->acquire(pkey);
-  const std::scoped_lock hold(entry->mu);
-
-  ScenarioResult out;
-  std::exception_ptr failure;
-  try {
-    sim::StateArena::Scope scope(*entry->arena);
-    if (entry->platform == nullptr) {
-      // Miss: simulate the prefix — construct, install workloads, boot —
-      // then checkpoint. The prefix platform's seed derives from the
-      // prefix key, never from the scenario seed: siblings must share the
-      // prefix bit-for-bit, and divergence enters only at the fork below.
-      prefix_misses_.fetch_add(1);
-      entry->arena->reset();
-      entry->prefix_seed = sim::derive_seed(kPrefixSeedRoot, pkey);
-      Platform* p = new_platform(spec, presets, entry->prefix_seed);
-      p->boot();
-      entry->snap = sim::Snapshot::capture(*entry->arena);
-      entry->platform = p;
-    } else {
-      // Hit: rewind the arena to the post-boot checkpoint. This also
-      // wipes everything the previous forked run did — counters, flight
-      // ring, pending events — so the child observes a pristine prefix.
-      prefix_hits_.fetch_add(1);
-      entry->snap.restore(*entry->arena);
-    }
-    Platform& p = *entry->platform;
-
-    // Fork: reseed the engine's root stream from the fork label. Streams
-    // split before the snapshot (devices, workloads) continue their
-    // checkpointed sequences identically in every sibling; every stream
-    // split after this point (probe, injector) diverges per (spec, seed).
-    p.engine().reseed(sim::derive_seed(
-        entry->prefix_seed, sim::SeedDomain::kFork,
-        spec.digest() + "#" + std::to_string(seed)));
-
-    LiveRun run(opt_, spec, seed, p);
-    run.finish();
-    const ScenarioResult r = run.result();
-    // Deep-copy the result off the arena: `r`'s innards live in arena
-    // memory that the next fork's restore will rewind.
-    scope.pause();
-    out = r;
-    scope.resume();
-  } catch (const ScenarioTimeout& e) {
-    // Rebuild every failure on the ordinary heap before the entry unlocks:
-    // the original exception's message and flight dump live in the arena,
-    // which the next acquirer will rewind.
-    failure = std::make_exception_ptr(
-        ScenarioTimeout(e.what(), json::Value(e.flight_recording())));
-  } catch (const ScenarioAbort& e) {
-    failure = std::make_exception_ptr(
-        ScenarioFailure(e.what(), json::Value(e.flight_recording())));
-  } catch (const std::exception& e) {
-    failure = std::make_exception_ptr(std::runtime_error(e.what()));
-  }
-  if (failure) std::rethrow_exception(failure);
-  return out;
-}
-
 ScenarioRunner::SnapshotCheck ScenarioRunner::snapshot_bit_identity(
     const ScenarioSpec& spec, std::uint64_t seed) {
   SnapshotCheck out;
@@ -988,14 +820,14 @@ ScenarioRunner::SnapshotCheck ScenarioRunner::snapshot_bit_identity(
   hooks.finished = [&](Platform& p, rt::Probe&) {
     baseline_counters = kernel_counters_text(p);
   };
-  out.baseline = run_cold(spec, seed, hooks).to_json().dump(2) + "\n" +
+  out.baseline = simulate(spec, seed, hooks).to_json().dump(2) + "\n" +
                  baseline_counters;
 
   // The same lifecycle hosted in an arena and paused at mid-horizon: take
   // a snapshot, finish and extract; then restore and finish and extract
-  // again. All three serialized outputs must agree to the byte.
+  // again. All three serialized outputs must agree to the byte. The
+  // baseline run above has already warmed the process statics.
   const Presets presets(spec);
-  warm_process_statics();
   sim::PooledArena arena;
   {
     sim::StateArena::Scope scope(*arena);
@@ -1081,42 +913,13 @@ RunOutcome ScenarioRunner::run_outcome(const ScenarioSpec& spec,
     // Reseed deterministically off the original seed, not the failed one,
     // so retry N of a spec is the same run no matter how earlier attempts
     // interleaved across worker threads. The retry domain keeps these
-    // streams disjoint from batch names and fork labels (a spec literally
-    // named "retry#1" must not share a stream with anyone's first retry).
+    // streams disjoint from batch names (a spec literally named "retry#1"
+    // must not share a stream with anyone's first retry).
     attempt_seed = sim::derive_seed(seed, sim::SeedDomain::kRetry,
                                     "retry#" + std::to_string(attempt));
   }
   return out;
 }
-
-namespace {
-
-/// Map `fn` over a batch's indices on the sweep's workers, results in
-/// batch order. Grouped (prefix sharing on), each prefix group runs in
-/// order on one worker, so the group's first run builds the snapshot and
-/// the rest fork it without contending on the entry lock.
-template <typename T, typename Fn>
-std::vector<T> map_batch(const bench::SweepRunner& sweep,
-                         const std::vector<ScenarioSpec>& specs, bool grouped,
-                         Fn fn) {
-  if (!grouped) return sweep.map<T>(specs.size(), fn);
-  const auto groups = prefix_groups(specs);
-  auto per_group = sweep.map<std::vector<T>>(groups.size(), [&](std::size_t g) {
-    std::vector<T> outs;
-    outs.reserve(groups[g].size());
-    for (const std::size_t i : groups[g]) outs.push_back(fn(i));
-    return outs;
-  });
-  std::vector<T> results(specs.size());
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    for (std::size_t k = 0; k < groups[g].size(); ++k) {
-      results[groups[g][k]] = std::move(per_group[g][k]);
-    }
-  }
-  return results;
-}
-
-}  // namespace
 
 BatchReport ScenarioRunner::run_batch_report(
     const std::vector<ScenarioSpec>& specs, std::uint64_t root_seed) {
@@ -1127,30 +930,24 @@ BatchReport ScenarioRunner::run_batch_report(
     const std::vector<ScenarioSpec>& specs, std::uint64_t root_seed,
     const BatchObserver& observer) {
   BatchReport report;
-  const std::uint64_t hits0 = prefix_hits_.load();
-  const std::uint64_t misses0 = prefix_misses_.load();
   // run_outcome never throws, so one hostile spec cannot sink the batch the
   // way run_batch's first-exception-wins rethrow does.
-  report.outcomes = map_batch<RunOutcome>(
-      sweep_, specs, opt_.prefix_reuse, [&](std::size_t i) {
-        const std::uint64_t seed = batch_seed(root_seed, specs[i]);
-        if (observer.started) observer.started(i, specs[i], seed);
-        RunOutcome out = run_outcome(specs[i], seed);
-        if (observer.finished) observer.finished(i, specs[i], out);
-        return out;
-      });
+  report.outcomes = sweep_.map<RunOutcome>(specs.size(), [&](std::size_t i) {
+    const std::uint64_t seed = batch_seed(root_seed, specs[i]);
+    if (observer.started) observer.started(i, specs[i], seed);
+    RunOutcome out = run_outcome(specs[i], seed);
+    if (observer.finished) observer.finished(i, specs[i], out);
+    return out;
+  });
   report.cache_entries_recomputed = cache_recomputed_.load();
-  report.prefix_hits = prefix_hits_.load() - hits0;
-  report.prefix_misses = prefix_misses_.load() - misses0;
   return report;
 }
 
 std::vector<ScenarioResult> ScenarioRunner::run_batch(
     const std::vector<ScenarioSpec>& specs, std::uint64_t root_seed) {
-  return map_batch<ScenarioResult>(
-      sweep_, specs, opt_.prefix_reuse, [&](std::size_t i) {
-        return run(specs[i], batch_seed(root_seed, specs[i]));
-      });
+  return sweep_.map<ScenarioResult>(specs.size(), [&](std::size_t i) {
+    return run(specs[i], batch_seed(root_seed, specs[i]));
+  });
 }
 
 std::vector<ScenarioResult> ScenarioRunner::run_seeds(const ScenarioSpec& spec,
@@ -1164,11 +961,10 @@ std::vector<ScenarioResult> ScenarioRunner::run_seeds(const ScenarioSpec& spec,
   });
 }
 
-/// Which part of a spec the shared prefix covers: platform construction,
-/// workload installation and boot. Shield plan, probe, probe params,
-/// faults, telemetry and duration are all applied after the fork, so they
-/// stay out of the key. `ramp_ns` reserves room for a future simulated
-/// warm-up period shared by the prefix.
+/// Platform construction, workload installation and boot. Shield plan,
+/// probe, probe params, faults, telemetry and duration stay out of the key.
+/// Must not change by a byte: perfbench seeds its set-up probe's
+/// platforms from it.
 std::string scenario_prefix_key(const ScenarioSpec& spec) {
   Value v = Value::object();
   v.set("machine", spec.machine);
@@ -1186,19 +982,6 @@ std::string scenario_prefix_key(const ScenarioSpec& spec) {
   v.set("workloads", std::move(wl));
   v.set("ramp_ns", 0);
   return json::content_digest(v);
-}
-
-std::vector<std::vector<std::size_t>> prefix_groups(
-    const std::vector<ScenarioSpec>& specs) {
-  std::vector<std::vector<std::size_t>> groups;
-  std::map<std::string, std::size_t> index;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const auto [it, inserted] =
-        index.emplace(scenario_prefix_key(specs[i]), groups.size());
-    if (inserted) groups.emplace_back();
-    groups[it->second].push_back(i);
-  }
-  return groups;
 }
 
 std::uint64_t batch_seed(std::uint64_t root_seed, const ScenarioSpec& spec) {

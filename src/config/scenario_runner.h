@@ -159,8 +159,9 @@ struct BatchReport {
   /// Disk-cache entries that failed integrity checks and were quarantined
   /// and recomputed during this runner's lifetime.
   std::uint64_t cache_entries_recomputed = 0;
-  /// Prefix snapshot reuse during this batch (zero/zero when the runner has
-  /// prefix_reuse off): a hit forked a warmed prefix, a miss simulated one.
+  /// Always 0. Kept only because perfbench/measure.cpp, which is frozen
+  /// with the benchmark, reads them for its config.prefix_hit_pct layer
+  /// metric.
   std::uint64_t prefix_hits = 0;
   std::uint64_t prefix_misses = 0;
   /// Supervisor section ({workers, respawns, incidents, ...}) when the
@@ -197,13 +198,9 @@ class ScenarioRunner {
     /// Attempts for specs flagged `transient` (reseeded per retry); specs
     /// not flagged always get exactly one attempt.
     int max_attempts = 2;
-    /// Share simulated prefixes across scenarios: specs whose (machine,
-    /// kernel, workloads) agree fork one warmed-up snapshot from a bounded
-    /// in-memory LRU instead of each building and booting a platform. A
-    /// forked run is bit-reproducible (same spec + seed → same result) but
-    /// numerically different from a cold run of the same spec — the child's
-    /// streams derive from a fork label — so cached results carry a fork
-    /// marker in their key. Off by default; `shieldctl run` turns it on.
+    /// Ignored: every run builds, installs and boots its own platform at
+    /// its own seed. Kept only because perfbench/measure.cpp, which is
+    /// frozen with the benchmark, still sets it.
     bool prefix_reuse = false;
     /// Attach the flight-recorder ring to *successful* runs too (outcomes
     /// gain a flight_recording document). kFull dumps the whole ring at the
@@ -216,7 +213,7 @@ class ScenarioRunner {
   };
 
   /// Observation points for runs that need more than the cacheable result
-  /// (e.g. shieldctl stat's Prometheus text). Any hook forces a fresh, cold
+  /// (e.g. shieldctl stat's Prometheus text). Any hook forces a fresh
   /// simulation: hooks see live Platform/Probe state the cache cannot
   /// reproduce.
   struct Hooks {
@@ -230,22 +227,14 @@ class ScenarioRunner {
 
   [[nodiscard]] const Options& options() const { return opt_; }
 
-  /// Prefix snapshot reuse counters (see Options::prefix_reuse).
-  struct PrefixStats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-  };
-  [[nodiscard]] PrefixStats prefix_stats() const {
-    return {prefix_hits_.load(), prefix_misses_.load()};
-  }
-
   /// Verification harness for the snapshot layer: run `spec` three ways —
   /// an ordinary uninterrupted run, an arena-hosted run snapshotted at
   /// mid-horizon and continued, and a restore of that snapshot replayed to
   /// the horizon — and return each run's full serialized output (scenario
   /// result + telemetry registry text + chain-tracer statistics).
   /// `identical` means all three are byte-for-byte equal, which is the
-  /// soundness gate for fork reuse.
+  /// soundness gate for the snapshot layer (kept for perfbench's set-up
+  /// probe; no run uses it).
   struct SnapshotCheck {
     bool identical = false;
     std::size_t snapshot_bytes = 0;
@@ -305,15 +294,12 @@ class ScenarioRunner {
 
  private:
   class LiveRun;
-  class PrefixCache;
 
-  /// A fresh platform built in this call: the only path hooks can observe.
-  ScenarioResult run_cold(const ScenarioSpec& spec, std::uint64_t seed,
+  /// Build, install, boot and run a fresh platform: every uncached run.
+  ScenarioResult simulate(const ScenarioSpec& spec, std::uint64_t seed,
                           const Hooks& hooks);
-  /// A fork of the spec's warmed prefix (Options::prefix_reuse).
-  ScenarioResult run_forked(const ScenarioSpec& spec, std::uint64_t seed);
   [[nodiscard]] std::string cache_key(const std::string& digest,
-                                      std::uint64_t seed, bool forked) const;
+                                      std::uint64_t seed) const;
   [[nodiscard]] std::string cache_path(const std::string& key) const;
 
   Options opt_;
@@ -321,21 +307,14 @@ class ScenarioRunner {
   std::mutex cache_mutex_;
   std::map<std::string, ScenarioResult> memory_cache_;
   std::atomic<std::uint64_t> cache_recomputed_{0};
-  std::unique_ptr<PrefixCache> prefix_cache_;
-  std::atomic<std::uint64_t> prefix_hits_{0};
-  std::atomic<std::uint64_t> prefix_misses_{0};
 };
 
-/// Prefix-sharing key of a spec (see Options::prefix_reuse): specs with
-/// equal keys can fork one booted platform prefix.
+/// Digest of the part of a spec that precedes the probe: machine, kernel
+/// and workloads, the platform a run builds and boots. No run uses it; it
+/// stays, unchanged, for perfbench/measure.cpp (frozen with the benchmark),
+/// whose set-up probe groups specs by it and seeds each group's platform
+/// from it.
 [[nodiscard]] std::string scenario_prefix_key(const ScenarioSpec& spec);
-
-/// Batch indices grouped by scenario_prefix_key, groups in order of first
-/// appearance (a prefix-sorted registry keeps its familiar order). Every
-/// batch executor dispatches whole groups to one worker thread or process,
-/// so a group's first run builds the prefix snapshot and the rest fork it.
-[[nodiscard]] std::vector<std::vector<std::size_t>> prefix_groups(
-    const std::vector<ScenarioSpec>& specs);
 
 /// The seed `spec` runs under in a batch rooted at `root_seed`: derived
 /// from the spec *name* (SeedDomain::kBatch), so adding, reordering or

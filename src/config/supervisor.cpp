@@ -82,8 +82,7 @@ struct WorkerTask {
 
 [[noreturn]] void worker_main(int task_fd, int result_fd,
                               ScenarioRunner::Options ropt) {
-  // One single-threaded runner per worker — the pool is the parallelism —
-  // with prefix-snapshot reuse intact inside the worker.
+  // One single-threaded runner per worker — the pool is the parallelism.
   ropt.jobs = 1;
   ScenarioRunner runner(ropt);
 
@@ -149,12 +148,9 @@ struct WorkerTask {
       done.set("event", "done");
       done.set("index", task.index);
       done.set("outcome", out.to_full_json());
-      // Cumulative runner totals; the supervisor folds in the latest value
-      // per worker generation.
+      // The cumulative runner total; the supervisor folds in the latest
+      // value per worker generation.
       done.set("recomputed", runner.cache_entries_recomputed());
-      const auto ps = runner.prefix_stats();
-      done.set("prefix_hits", ps.hits);
-      done.set("prefix_misses", ps.misses);
       if (!write_line(result_fd, done)) std::_Exit(1);
     }
   }
@@ -167,9 +163,9 @@ struct Slot {
   pid_t pid = -1;
   int rfd = -1;  ///< worker → supervisor (nonblocking)
   int wfd = -1;  ///< supervisor → worker (blocking)
-  std::string buffer;                 ///< partial-line accumulation
-  std::deque<std::size_t> assigned;   ///< dispatched, not yet done
-  std::optional<std::size_t> running; ///< last start without a done
+  std::string buffer;                  ///< partial-line accumulation
+  std::optional<std::size_t> assigned; ///< dispatched, not yet done
+  std::optional<std::size_t> running;  ///< last start without a done
   Clock::time_point heartbeat{};
   bool kill_sent = false;  ///< heartbeat SIGKILL fired → classify kHung
   int death_streak = 0;    ///< consecutive abnormal deaths of this slot
@@ -179,11 +175,11 @@ struct Slot {
   int fault_index = -1;
   std::string fault_kind;
   Value fault_flight;
-  // Cumulative runner totals from the worker's latest done message.
-  std::uint64_t recomputed = 0, prefix_hits = 0, prefix_misses = 0;
+  // Cumulative runner total from the worker's latest done message.
+  std::uint64_t recomputed = 0;
 
   [[nodiscard]] bool alive() const { return pid > 0; }
-  [[nodiscard]] bool busy() const { return !assigned.empty(); }
+  [[nodiscard]] bool busy() const { return assigned.has_value(); }
 };
 
 void close_fd(int& fd) {
@@ -228,13 +224,13 @@ bool spawn_worker(Slot& slot, std::vector<Slot>& slots,
   const int flags = ::fcntl(slot.rfd, F_GETFL, 0);
   (void)::fcntl(slot.rfd, F_SETFL, flags | O_NONBLOCK);
   slot.buffer.clear();
-  slot.assigned.clear();
+  slot.assigned.reset();
   slot.running.reset();
   slot.kill_sent = false;
   slot.fault_index = -1;
   slot.fault_kind.clear();
   slot.fault_flight = Value();
-  slot.recomputed = slot.prefix_hits = slot.prefix_misses = 0;
+  slot.recomputed = 0;
   slot.heartbeat = Clock::now();
   return true;
 }
@@ -259,16 +255,16 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
   std::vector<std::optional<RunOutcome>> outcomes(total);
   std::vector<int> respawns_of(total, 0);
   std::size_t completed = 0;
-  std::uint64_t total_recomputed = 0, total_ph = 0, total_pm = 0;
+  std::uint64_t total_recomputed = 0;
 
   const auto seed_of = [&](std::size_t i) {
     return batch_seed(root_seed, specs[i]);
   };
 
-  // Same-prefix specs are dispatched as one group to one worker, so
-  // in-worker prefix-snapshot reuse matches the in-process path.
-  std::deque<std::vector<std::size_t>> queue;
-  for (auto& g : prefix_groups(specs)) queue.push_back(std::move(g));
+  // One spec per dispatch, in batch order: outcomes do not depend on
+  // placement.
+  std::deque<std::size_t> queue;
+  for (std::size_t i = 0; i < total; ++i) queue.push_back(i);
 
   Value incidents = Value::array();
   const auto record_incident = [&](Value inc) {
@@ -358,8 +354,6 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
     const bool hung = slot.kill_sent;
 
     total_recomputed += slot.recomputed;
-    total_ph += slot.prefix_hits;
-    total_pm += slot.prefix_misses;
 
     if (!clean) {
       if (hung) {
@@ -379,26 +373,18 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
       if (!slot.fault_kind.empty()) inc.set("host_fault", slot.fault_kind);
       record_incident(std::move(inc));
 
-      // Re-queue the slot's work as one front group (locality preserved):
-      // the in-flight spec — charged with the death — first, then the
-      // never-started remainder.
-      std::vector<std::size_t> requeue;
+      // The in-flight spec is charged with the death; the slot's spec,
+      // unless that quarantined it, goes back to the front of the queue.
       if (slot.running && !outcomes[*slot.running]) {
         const std::size_t i = *slot.running;
         respawns_of[i]++;
         if (respawns_of[i] > opt_.max_respawns) {
           quarantine(i, hung, slot, sig, exit_code);
-        } else {
-          requeue.push_back(i);
         }
       }
-      for (const std::size_t idx : slot.assigned) {
-        if (slot.running && idx == *slot.running) continue;
-        if (!outcomes[idx]) requeue.push_back(idx);
-      }
-      if (!requeue.empty()) {
-        stats_.requeues += requeue.size();
-        queue.push_front(std::move(requeue));
+      if (slot.assigned && !outcomes[*slot.assigned]) {
+        stats_.requeues++;
+        queue.push_front(*slot.assigned);
       }
 
       slot.death_streak++;
@@ -419,10 +405,10 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
     close_fd(slot.rfd);
     close_fd(slot.wfd);
     slot.pid = -1;
-    slot.assigned.clear();
+    slot.assigned.reset();
     slot.running.reset();
     slot.kill_sent = false;
-    slot.recomputed = slot.prefix_hits = slot.prefix_misses = 0;
+    slot.recomputed = 0;
   };
 
   const auto process_line = [&](Slot& slot, const std::string& line) {
@@ -458,13 +444,8 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
         return;  // malformed outcome: leave the spec pending for re-queue
       }
       if (const Value* v = msg.find("recomputed")) slot.recomputed = v->as_u64();
-      if (const Value* v = msg.find("prefix_hits")) slot.prefix_hits = v->as_u64();
-      if (const Value* v = msg.find("prefix_misses")) {
-        slot.prefix_misses = v->as_u64();
-      }
-      if (slot.running && *slot.running == i) slot.running.reset();
-      const auto it = std::find(slot.assigned.begin(), slot.assigned.end(), i);
-      if (it != slot.assigned.end()) slot.assigned.erase(it);
+      if (slot.running == i) slot.running.reset();
+      if (slot.assigned == i) slot.assigned.reset();
       slot.death_streak = 0;
     } else if (kind == "fault") {
       slot.fault_index = static_cast<int>(msg.find("index")->as_i64());
@@ -501,20 +482,17 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
         }
       }
       if (slot.alive() && !slot.busy() && !queue.empty()) {
-        std::vector<std::size_t> group = std::move(queue.front());
+        const std::size_t i = queue.front();
         queue.pop_front();
+        if (outcomes[i]) continue;
+        Value t = Value::object();
+        t.set("index", i);
+        t.set("respawn", respawns_of[i]);
+        t.set("seed", seed_of(i));
+        t.set("spec", specs[i].to_json());
         Value tasks = Value::array();
-        for (const std::size_t i : group) {
-          if (outcomes[i]) continue;
-          Value t = Value::object();
-          t.set("index", i);
-          t.set("respawn", respawns_of[i]);
-          t.set("seed", seed_of(i));
-          t.set("spec", specs[i].to_json());
-          tasks.push(std::move(t));
-          slot.assigned.push_back(i);
-        }
-        if (slot.assigned.empty()) continue;
+        tasks.push(std::move(t));
+        slot.assigned = i;
         Value msg = Value::object();
         msg.set("tasks", std::move(tasks));
         slot.heartbeat = Clock::now();
@@ -621,8 +599,6 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
     (void)::waitpid(slot.pid, &status, 0);
     close_fd(slot.rfd);
     total_recomputed += slot.recomputed;
-    total_ph += slot.prefix_hits;
-    total_pm += slot.prefix_misses;
     slot.pid = -1;
   }
   alive_gauge.set(0, 0);
@@ -633,8 +609,6 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
   report.outcomes.reserve(total);
   for (auto& o : outcomes) report.outcomes.push_back(std::move(*o));
   report.cache_entries_recomputed = total_recomputed;
-  report.prefix_hits = total_ph;
-  report.prefix_misses = total_pm;
 
   Value sup = Value::object();
   sup.set("workers", nworkers);

@@ -15,10 +15,6 @@
 // SIGKILLs the worker and classifies the spec kHung). Respawn backoff is
 // exponential with deterministic jitter (SeedDomain::kRespawn).
 //
-// Dispatch preserves prefix-snapshot locality: a whole prefix_groups()
-// group goes to one worker, so in-worker prefix reuse matches the
-// in-process path and supervision stays within a few percent of it.
-//
 // Results cross the pipe as RunOutcome wire JSON — pure simulated data —
 // which is what lets a campaign journal merge supervised, in-process and
 // resumed runs byte-identically.
@@ -46,9 +42,8 @@ class Supervisor {
     /// Heartbeat budget: a busy worker silent for longer is declared hung
     /// and SIGKILLed. 0 disables hang detection.
     double hang_timeout_s = 0.0;
-    /// Runner configuration for each worker. `jobs` is forced to 1 —
-    /// parallelism comes from the pool — and `prefix_reuse` works as usual
-    /// within a worker.
+    /// Runner configuration for each worker. `jobs` is forced to 1:
+    /// parallelism comes from the pool.
     ScenarioRunner::Options runner;
   };
 

@@ -87,18 +87,13 @@ OobPipeline::Context* OobPipeline::context_of(const Task* t) {
 
 void OobPipeline::adopt_task(Task& t) {
   SIM_ASSERT_MSG(context_of(&t) == nullptr, "task already on the oob stage");
+  SIM_ASSERT_MSG(t.state == TaskState::kNew,
+                 "only tasks that have not started can move to the oob stage");
   contexts_.push_back(std::make_unique<Context>());
   Context& c = *contexts_.back();
   c.task = &t;
   c.cpu = t.effective_affinity.empty() ? 0 : t.effective_affinity.first();
-  if (t.state == TaskState::kNew) return;  // boot's make_runnable adopts it
-  // Forked runs create probes post-boot, so the task is already sitting on
-  // an in-band runqueue; pull it off (dequeue is a no-op guard against
-  // double-removal) and switch it in on the stage instead.
-  SIM_ASSERT_MSG(t.state == TaskState::kReady && t.on_runqueue,
-                 "only new or queued-ready tasks can move to the oob stage");
-  k_.scheduler().dequeue(t);
-  on_runnable(t);
+  // Boot's make_runnable hands the task to on_runnable.
 }
 
 void OobPipeline::adopt_irq(int irq) {

@@ -116,9 +116,8 @@ class OobPipeline final : public IrqPipeline {
   [[nodiscard]] bool owns_irq(int irq) const override;
   void on_runnable(Task& t) override;
 
-  /// Move a task onto the oob stage. Legal for tasks that have not started
-  /// (kNew) and for ready tasks sitting on an in-band runqueue (the forked
-  /// path creates probes post-boot); running tasks cannot migrate stages.
+  /// Move a task onto the oob stage. Legal only for tasks that have not
+  /// started (kNew): started tasks cannot migrate stages.
   void adopt_task(Task& t);
 
   /// Route an IRQ line to the oob stage.

@@ -10,10 +10,10 @@
 // serialized field-by-field. Snapshot (snapshot.h) builds on exactly this.
 //
 // Contract:
-//  * One thread uses an arena at a time (callers serialize, e.g. the
-//    prefix-cache entry mutex). The *routing* of frees is cross-thread
-//    safe — a pointer inside any live arena's range is returned to that
-//    arena — but concurrent alloc/free on one arena is not.
+//  * One thread uses an arena at a time (each caller owns its pooled arena
+//    while it uses it). The *routing* of frees is cross-thread safe — a
+//    pointer inside any live arena's range is returned to that arena — but
+//    concurrent alloc/free on one arena is not.
 //  * Objects allocated while active must be destroyed (or rolled back via
 //    restore) before the arena is reset. Restore does not run destructors;
 //    it rewinds memory, which is only sound when every object beyond the

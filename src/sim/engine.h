@@ -59,13 +59,6 @@ class Engine {
   /// construction to obtain an independent stream.
   Rng& rng() { return rng_; }
 
-  /// Replace the root RNG stream. Used by the snapshot fork path: after a
-  /// restore, reseeding with a fork-label-derived seed makes every stream
-  /// subsequently split from the root diverge deterministically between
-  /// siblings, while streams split before the snapshot continue their
-  /// checkpointed sequences unchanged.
-  void reseed(std::uint64_t seed) { rng_ = Rng(seed); }
-
   /// Structured latency-chain tracer (see sim/trace.h). Off by default;
   /// enabling it never perturbs the event stream.
   ChainTracer& chain_tracer() { return chain_tracer_; }

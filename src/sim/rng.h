@@ -27,7 +27,7 @@ enum class SeedDomain : std::uint64_t {
   kBatch = 1,    // per-spec seeds inside a batch (label = spec name)
   kRetry = 2,    // transient-failure retries (label = "retry#N")
   kFanout = 3,   // run_seeds replicates (label = "name#i")
-  kFork = 4,     // snapshot-fork children (label = spec digest + seed)
+  // 4 is unused; kRespawn keeps 5 so respawn jitter does not move.
   kRespawn = 5,  // supervisor respawn-backoff jitter (label = "respawn#N")
 };
 

@@ -9,8 +9,10 @@
 // their generation tags and pending cancels, RNG streams, per-CPU kernel
 // state, device state and telemetry cells are all just bytes in the arena.
 //
-// Soundness requirements (enforced by ScenarioRunner, whose prefix cache and
-// snapshot check both drive its one run lifecycle):
+// No simulation run forks from a snapshot. The layer stays because
+// perfbench's set-up probe, which is frozen with the benchmark, builds and
+// captures platforms with it; ScenarioRunner::snapshot_bit_identity checks
+// it. Soundness requirements (kept by those two callers):
 //  * capture/restore only between events, with no live references held by
 //    code outside the arena to objects allocated after the mark;
 //  * objects created after capture must be destroyed before restore (their

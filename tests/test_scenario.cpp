@@ -518,16 +518,16 @@ TEST(ScenarioRunner, TransientSpecRetriesWithDerivedSeedAndCanRecover) {
 }
 
 TEST(ScenarioRunner, ForkedChildTimeoutAttachesItsOwnFlightRecording) {
-  // Two children of the same warmed prefix: one with fault injection that
-  // completes, then one without faults that trips the event watchdog. The
-  // timeout's post-mortem dump must be the second child's own recording —
-  // if the prefix entry leaked the first child's ring across the restore,
-  // fault-arm/fault-fire events would surface in a run that has no faults.
+  // Two runs on one runner with the same machine, kernel and workloads:
+  // one with fault injection that completes, then one without faults that
+  // trips the event watchdog. The timeout's post-mortem dump must be the
+  // second run's own recording — if the runner leaked the first run's ring
+  // into the second, fault-arm/fault-fire events would surface in a run
+  // that has no faults.
   config::ScenarioRunner::Options opt;
   opt.scale = 0.005;
   opt.cache = false;
-  opt.prefix_reuse = true;
-  opt.max_events = 1'000'000;  // ~600k for the faulted child: comfortable
+  opt.max_events = 1'000'000;  // ~600k for the faulted run: comfortable
   config::ScenarioRunner runner(opt);
 
   const auto faulted = spec_of("faults-storm-shielded");
@@ -539,7 +539,6 @@ TEST(ScenarioRunner, ForkedChildTimeoutAttachesItsOwnFlightRecording) {
 
   const auto second = runner.run_outcome(doomed, 5);
   EXPECT_EQ(second.status, config::RunStatus::kTimedOut);
-  EXPECT_EQ(runner.prefix_stats().hits, 1u);  // it really shared the prefix
 
   const auto& flight = second.flight_recording;
   ASSERT_FALSE(flight.is_null());
@@ -550,7 +549,7 @@ TEST(ScenarioRunner, ForkedChildTimeoutAttachesItsOwnFlightRecording) {
   for (const auto& ev : events->items()) {
     const auto& kind = ev.find("kind")->as_string();
     EXPECT_NE(kind.substr(0, 6), "fault-")
-        << "sibling's fault event leaked into the forked child's dump";
+        << "the first run's fault event leaked into the second run's dump";
   }
 }
 
@@ -587,8 +586,8 @@ namespace {
 std::string cache_file_path(const std::string& dir,
                             const config::ScenarioSpec& spec,
                             std::uint64_t seed, const char* scale) {
-  // Mirrors ScenarioRunner::cache_key for an unforked run under the
-  // early-stop horizon semantics (the "-es1" marker).
+  // Mirrors ScenarioRunner::cache_key under the early-stop horizon
+  // semantics (the "-es1" marker).
   return dir + "/" + spec.digest() + "-" + std::to_string(seed) + "-" + scale +
          "-es1.json";
 }
@@ -768,10 +767,9 @@ TEST(ScenarioRunner, RetryExhaustionRecordsEveryReseedAndStaysNotOk) {
             sim::derive_seed(seed, sim::SeedDomain::kRetry, "retry#1"));
   EXPECT_EQ(out.retry_seeds[1],
             sim::derive_seed(seed, sim::SeedDomain::kRetry, "retry#2"));
-  // Retry streams never collide with the fork or respawn namespaces, even
-  // for identical labels.
+  // Retry streams never collide with the respawn namespace, even for
+  // identical labels.
   for (const std::uint64_t rs : out.retry_seeds) {
-    EXPECT_NE(rs, sim::derive_seed(seed, sim::SeedDomain::kFork, "retry#1"));
     EXPECT_NE(rs,
               sim::derive_seed(seed, sim::SeedDomain::kRespawn, "retry#1"));
   }

@@ -1,8 +1,8 @@
-// The snapshot/fork layer: StateArena allocation semantics, Snapshot
+// The snapshot layer: StateArena allocation semantics, Snapshot
 // capture/restore, engine-level restore determinism, whole-registry
 // bit-identity of snapshot-at-t/restore/continue versus uninterrupted
-// runs, and ScenarioRunner prefix reuse (fork determinism, hit accounting,
-// child-owned flight recordings).
+// runs, and ScenarioRunner determinism with the (now ignored) prefix_reuse
+// option on.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -201,7 +201,7 @@ TEST(Snapshot, EngineContinuesBitIdenticallyAfterRestore) {
   EXPECT_GT(sum_continued, 0u);
 }
 
-// ---- seed-domain separation (regression: retry/fork/batch collisions) -------
+// ---- seed-domain separation (regression: retry/batch collisions) ------------
 
 TEST(SeedDomains, AllNamespacesAreMutuallyDisjoint) {
   const std::uint64_t root = 2003;
@@ -212,7 +212,7 @@ TEST(SeedDomains, AllNamespacesAreMutuallyDisjoint) {
   const std::vector<sim::SeedDomain> domains = {
       sim::SeedDomain::kGeneric, sim::SeedDomain::kBatch,
       sim::SeedDomain::kRetry,   sim::SeedDomain::kFanout,
-      sim::SeedDomain::kFork,    sim::SeedDomain::kRespawn};
+      sim::SeedDomain::kRespawn};
   std::map<std::uint64_t, std::pair<int, std::string>> seen;
   for (std::size_t d = 0; d < domains.size(); ++d) {
     for (const auto& label : labels) {
@@ -269,7 +269,7 @@ TEST(SnapshotBitIdentity, OobMechanismSurvivesMidRunRestore) {
   }
 }
 
-// ---- fork/prefix reuse ------------------------------------------------------
+// ---- prefix_reuse on: still the cold run -----------------------------------
 
 namespace {
 
@@ -284,9 +284,8 @@ config::ScenarioRunner::Options prefix_options() {
 }  // namespace
 
 TEST(PrefixReuse, ForkedRunsAreDeterministicAcrossRunnersAndOrder) {
-  const auto specs = config::ScenarioRegistry::builtin().all();
-  // A family sharing one prefix: same machine/kernel/workloads, different
-  // shield plans (the registry's ablation pairs are exactly this shape).
+  // Two specs with the same machine, kernel and workloads and different
+  // shield plans.
   const auto a = spec_of("fig2");
   const auto b = spec_of("fig3");
 
@@ -294,77 +293,23 @@ TEST(PrefixReuse, ForkedRunsAreDeterministicAcrossRunnersAndOrder) {
   const auto a1 = r1.run(a, 7).to_json().dump();
   const auto b1 = r1.run(b, 7).to_json().dump();
 
-  // Fresh runner, opposite order: b first, so b forks from a newly-built
-  // prefix instead of a's. Results must not care.
+  // Fresh runner, opposite order. Results must not care.
   config::ScenarioRunner r2(prefix_options());
   const auto b2 = r2.run(b, 7).to_json().dump();
   const auto a2 = r2.run(a, 7).to_json().dump();
   EXPECT_EQ(a1, a2);
   EXPECT_EQ(b1, b2);
 
-  // Same spec, different seeds: different runs.
+  // Same spec, different seeds: different simulations, not just a
+  // different `seed` field. The seed must reach the background-load
+  // streams, so the probe's samples and the event count both move.
   config::ScenarioRunner r3(prefix_options());
-  EXPECT_NE(r3.run(a, 7).to_json().dump(), r3.run(a, 8).to_json().dump());
-  (void)specs;
-}
-
-TEST(PrefixReuse, SiblingsShareOnePrefixAndHitCountsSaySo) {
-  const auto a = spec_of("fig2");
-  const auto b = spec_of("fig3");
-  config::ScenarioRunner runner(prefix_options());
-  (void)runner.run(a, 1);
-  (void)runner.run(b, 1);
-  (void)runner.run(a, 2);
-  const auto stats = runner.prefix_stats();
-  EXPECT_EQ(stats.misses, 1u);  // one prefix build
-  EXPECT_EQ(stats.hits, 2u);    // two forks of it
-}
-
-TEST(PrefixReuse, ForkedAndColdRunsNeverShareACacheSlot) {
-  const auto spec = spec_of("fig2");
-  auto opt = prefix_options();
-  opt.cache = true;
-  config::ScenarioRunner forked(opt);
-  opt.prefix_reuse = false;
-  config::ScenarioRunner cold(opt);
-  const auto rf = forked.run(spec, 5);
-  const auto rc = cold.run(spec, 5);
-  EXPECT_FALSE(rf.from_cache);
-  EXPECT_FALSE(rc.from_cache);
-  // Same spec and seed, but the forked child's streams derive from the
-  // fork label — the runs are legitimately different simulations.
-  EXPECT_NE(rf.to_json().dump(), rc.to_json().dump());
-}
-
-TEST(PrefixReuse, BatchReportGroupsByPrefixAndRecordsReuse) {
-  const auto all = config::ScenarioRegistry::builtin().all();
-  config::ScenarioRunner runner(prefix_options());
-  const auto report = runner.run_batch_report(all, 2003);
-  ASSERT_EQ(report.outcomes.size(), all.size());
-  for (const auto& o : report.outcomes) {
-    EXPECT_TRUE(o.ok()) << o.name << ": " << o.error;
-  }
-  EXPECT_EQ(report.prefix_hits + report.prefix_misses, all.size());
-  EXPECT_GT(report.prefix_hits, 0u);
-  // The prefix hit rate is a deterministic function of the registry: at
-  // least 30% of the builtin specs fork a shared prefix instead of building
-  // one (perfbench reports the same figure as config.prefix_hit_pct).
-  const double rate = static_cast<double>(report.prefix_hits) /
-                      static_cast<double>(all.size());
-  EXPECT_GE(rate, 0.30);
-  const auto j = report.to_json();
-  ASSERT_NE(j.find("prefix_reuse"), nullptr);
-  EXPECT_EQ(j.find("prefix_reuse")->find("hits")->as_u64(),
-            report.prefix_hits);
-
-  // Determinism of the whole batch against a fresh runner.
-  config::ScenarioRunner again(prefix_options());
-  const auto report2 = again.run_batch_report(all, 2003);
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    ASSERT_TRUE(report2.outcomes[i].result.has_value());
-    EXPECT_EQ(report.outcomes[i].result->to_json().dump(),
-              report2.outcomes[i].result->to_json().dump())
-        << all[i].name;
+  for (const auto& spec : {a, b}) {
+    const auto r7 = r3.run(spec, 7);
+    const auto r8 = r3.run(spec, 8);
+    EXPECT_NE(r7.to_json().at("probe").dump(), r8.to_json().at("probe").dump())
+        << spec.name;
+    EXPECT_NE(r7.events, r8.events) << spec.name;
   }
 }
 

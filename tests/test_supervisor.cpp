@@ -106,46 +106,47 @@ TEST(CampaignJournal, MissingFileYieldsEmptyReplay) {
   EXPECT_TRUE(replay.in_flight.empty());
 }
 
-TEST(CampaignJournal, CampaignRecordRoundTripsColdAndForked) {
-  // Forked and cold runs of one (spec, seed) differ, so the campaign record
-  // says which of the two a journal holds. A forked record has no "cold"
-  // key at all: its line is the one journals have always carried.
-  const std::string cold_dir = testutil::temp_dir("journal_cold_test");
-  const std::string forked_dir = testutil::temp_dir("journal_forked_test");
+TEST(CampaignJournal, CampaignRecordRoundTripsFlightDumpMode) {
+  // A flight-dump run's done record carries its ring, so the campaign
+  // record says which mode a journal holds. With no mode on the record has
+  // no "flight_dump" key at all.
+  const std::string dump_dir = testutil::temp_dir("journal_dump_test");
+  const std::string plain_dir = testutil::temp_dir("journal_plain_test");
   {
-    config::CampaignJournal cold(cold_dir);
-    cold.write_campaign(2003, 0.01, 3, true);
-    config::CampaignJournal forked(forked_dir);
-    forked.write_campaign(2003, 0.01, 3);
+    config::CampaignJournal dump(dump_dir);
+    dump.write_campaign(2003, 0.01, 3, "worst");
+    config::CampaignJournal plain(plain_dir);
+    plain.write_campaign(2003, 0.01, 3);
   }
-  const auto cold = config::CampaignJournal::replay(cold_dir);
-  ASSERT_TRUE(cold.has_campaign);
-  EXPECT_TRUE(cold.cold);
-  EXPECT_EQ(cold.root_seed, 2003u);
-  EXPECT_EQ(cold.spec_count, 3u);
-  const auto forked = config::CampaignJournal::replay(forked_dir);
-  ASSERT_TRUE(forked.has_campaign);
-  EXPECT_FALSE(forked.cold);
-  EXPECT_NE(read_text(cold_dir + "/journal.jsonl").find("\"cold\":true"),
+  const auto dump = config::CampaignJournal::replay(dump_dir);
+  ASSERT_TRUE(dump.has_campaign);
+  EXPECT_EQ(dump.flight_dump, "worst");
+  EXPECT_EQ(dump.root_seed, 2003u);
+  EXPECT_EQ(dump.spec_count, 3u);
+  const auto plain = config::CampaignJournal::replay(plain_dir);
+  ASSERT_TRUE(plain.has_campaign);
+  EXPECT_EQ(plain.flight_dump, "");
+  EXPECT_NE(read_text(dump_dir + "/journal.jsonl")
+                .find("\"flight_dump\":\"worst\""),
             std::string::npos);
-  EXPECT_EQ(read_text(forked_dir + "/journal.jsonl").find("cold"),
+  EXPECT_EQ(read_text(plain_dir + "/journal.jsonl").find("flight_dump"),
             std::string::npos);
-  std::filesystem::remove_all(forked_dir);
+  std::filesystem::remove_all(plain_dir);
 
   // A checksum-valid campaign record with a mistyped key is corrupt as a
   // whole: it leaves no campaign identity behind.
-  std::remove((cold_dir + "/journal.jsonl").c_str());
-  append_text(cold_dir + "/journal.jsonl",
-              config::json::seal("campaign-journal-v1", "record",
+  std::remove((dump_dir + "/journal.jsonl").c_str());
+  append_text(dump_dir + "/journal.jsonl",
+              config::json::seal(config::CampaignJournal::kFormat, "record",
                                  config::json::Value::parse(
                                      R"({"event":"campaign","root_seed":1,)"
-                                     R"("scale":1,"specs":1,"cold":1})"))
+                                     R"("scale":1,"specs":1,"flight_dump":1})"))
                       .dump() +
                   "\n");
-  const auto mistyped = config::CampaignJournal::replay(cold_dir);
+  const auto mistyped = config::CampaignJournal::replay(dump_dir);
   EXPECT_FALSE(mistyped.has_campaign);
   EXPECT_EQ(mistyped.corrupt_lines, 1u);
-  std::filesystem::remove_all(cold_dir);
+  std::filesystem::remove_all(dump_dir);
 }
 
 TEST(CampaignJournal, CorruptAndTornLinesAreSkippedAndCounted) {
@@ -159,31 +160,44 @@ TEST(CampaignJournal, CorruptAndTornLinesAreSkippedAndCounted) {
   }
   const std::string path = dir + "/journal.jsonl";
   // Corruption menu: plain garbage, a checksum-failing envelope, records
-  // whose checksum is valid but which lack a required field, and a torn
-  // tail line (a SIGKILLed writer's last breath — no newline).
+  // whose checksum is valid but which lack a required field, a complete
+  // done record sealed under the v1 format (its runs forked a shared
+  // prefix, so it is never adopted), and a torn tail line (a SIGKILLed
+  // writer's last breath — no newline).
+  const std::string format = config::CampaignJournal::kFormat;
   append_text(path, "not json at all\n");
-  append_text(path,
-              "{\"format\":\"campaign-journal-v1\",\"checksum\":\"beef\","
-              "\"record\":{\"event\":\"done\",\"name\":\"evil\"}}\n");
+  append_text(path, "{\"format\":\"" + format +
+                        "\",\"checksum\":\"beef\","
+                        "\"record\":{\"event\":\"done\",\"name\":\"evil\"}}\n");
   for (const char* rec :
        {R"({"event":"start"})", R"({"name":"a","seed":5})",
         R"({"event":"done","name":"b"})",
         R"({"event":"done","name":"c","digest":"dc","seed":5})"}) {
-    append_text(path, config::json::seal("campaign-journal-v1", "record",
+    append_text(path, config::json::seal(format, "record",
                                          config::json::Value::parse(rec))
                               .dump() +
                           "\n");
   }
+  config::RunOutcome v1_outcome;
+  v1_outcome.name = "v1";
+  auto v1_done = config::json::Value::parse(
+      R"({"event":"done","name":"v1","digest":"dv1","seed":5})");
+  v1_done.set("outcome", v1_outcome.to_full_json());
   append_text(path,
-              "{\"format\":\"campaign-journal-v1\",\"checksum\":\"00\","
-              "\"record\":{\"event\":\"do");
+              config::json::seal("campaign-journal-v1", "record", v1_done)
+                      .dump() +
+                  "\n");
+  append_text(path, "{\"format\":\"" + format +
+                        "\",\"checksum\":\"00\","
+                        "\"record\":{\"event\":\"do");
   const auto replay = config::CampaignJournal::replay(dir);
   EXPECT_EQ(replay.records, 2u);
-  EXPECT_EQ(replay.corrupt_lines, 7u);
+  EXPECT_EQ(replay.corrupt_lines, 8u);
   EXPECT_TRUE(replay.has_campaign);
   ASSERT_EQ(replay.done.size(), 1u);
   EXPECT_EQ(replay.done.count("a"), 1u);
   EXPECT_EQ(replay.done.count("evil"), 0u);  // bad checksum never trusted
+  EXPECT_EQ(replay.done.count("v1"), 0u);    // old format never adopted
   EXPECT_TRUE(replay.in_flight.empty());     // nameless start never applied
   std::filesystem::remove_all(dir);
 }
@@ -347,4 +361,97 @@ TEST(Supervisor, JournalReplayReconstructsTheCampaignByteIdentically) {
   EXPECT_NE(prom.find("shieldsim_supervisor_workers_alive"),
             std::string::npos);
   std::filesystem::remove_all(dir);
+}
+
+// ---- one answer per (spec, seed) ---------------------------------------------
+
+TEST(OneAnswer, EveryExecutionPathGivesTheSameBytes) {
+  // The whole registry at smoke scale must serialize to the same outcome
+  // bytes, and merge to the same campaign report, whichever path computed
+  // it: a cold in-process batch, a batch with the ignored prefix_reuse
+  // option on, disk-cache hits, supervised workers, and a journal-resumed
+  // campaign.
+  const auto all = config::ScenarioRegistry::builtin().all();
+  const std::uint64_t root = 2003;
+  config::ScenarioRunner::Options cold;
+  cold.scale = 0.01;
+  cold.jobs = 2;
+  cold.cache = false;
+
+  config::ScenarioRunner cold_runner(cold);
+  const auto reference = cold_runner.run_batch_report(all, root);
+  ASSERT_EQ(reference.outcomes.size(), all.size());
+  for (const auto& o : reference.outcomes) {
+    EXPECT_TRUE(o.ok()) << o.name << ": " << o.error;
+  }
+  const std::string merged =
+      config::CampaignJournal::merged_report(reference.outcomes).dump(2);
+  const auto same = [&](const char* path,
+                        const std::vector<config::RunOutcome>& outcomes) {
+    ASSERT_EQ(outcomes.size(), all.size()) << path;
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      EXPECT_EQ(outcomes[i].to_full_json().dump(),
+                reference.outcomes[i].to_full_json().dump())
+          << path << ": " << all[i].name;
+    }
+    // Compared as one bool: a failing EXPECT_EQ would diff two multi-line
+    // registry dumps line by line, which costs quadratic memory.
+    EXPECT_TRUE(config::CampaignJournal::merged_report(outcomes).dump(2) ==
+                merged)
+        << path << ": merged campaign reports differ";
+  };
+
+  // prefix_reuse on, filling a disk cache that a fresh runner then reads
+  // every result back from.
+  const std::string cache_dir = testutil::temp_dir("one_answer_cache");
+  auto reuse = cold;
+  reuse.prefix_reuse = true;
+  reuse.cache = true;
+  reuse.cache_dir = cache_dir;
+  config::ScenarioRunner reuse_runner(reuse);
+  const auto reused = reuse_runner.run_batch_report(all, root);
+  same("prefix_reuse", reused.outcomes);
+  config::ScenarioRunner cache_runner(reuse);
+  const auto hits = cache_runner.run_batch_report(all, root);
+  for (const auto& o : hits.outcomes) {
+    ASSERT_TRUE(o.result.has_value()) << o.name;
+    EXPECT_TRUE(o.result->from_cache) << o.name;
+  }
+  same("cache hit", hits.outcomes);
+  std::filesystem::remove_all(cache_dir);
+
+  config::Supervisor::Options so;
+  so.workers = 2;
+  so.runner = reuse;
+  so.runner.cache = false;
+  so.runner.cache_dir.clear();
+  config::Supervisor sup(so);
+  same("supervised", sup.run(all, root).outcomes);
+
+  // Resume: a journal holding the first half's outcomes, replayed and
+  // merged with a fresh run of the second half.
+  const std::string journal_dir = testutil::temp_dir("one_answer_journal");
+  const std::size_t half = all.size() / 2;
+  {
+    config::CampaignJournal j(journal_dir);
+    j.write_campaign(root, cold.scale, all.size());
+    for (std::size_t i = 0; i < half; ++i) {
+      j.write_done(all[i].name, all[i].digest(),
+                   config::batch_seed(root, all[i]), reused.outcomes[i]);
+    }
+  }
+  const auto replay = config::CampaignJournal::replay(journal_dir);
+  ASSERT_EQ(replay.done.size(), half);
+  std::vector<config::RunOutcome> resumed;
+  for (std::size_t i = 0; i < half; ++i) {
+    resumed.push_back(replay.done.at(all[i].name).outcome);
+  }
+  const std::vector<config::ScenarioSpec> rest(
+      all.begin() + static_cast<std::ptrdiff_t>(half), all.end());
+  config::ScenarioRunner rest_runner(so.runner);
+  for (auto& o : rest_runner.run_batch_report(rest, root).outcomes) {
+    resumed.push_back(std::move(o));
+  }
+  same("journal-resumed", resumed);
+  std::filesystem::remove_all(journal_dir);
 }

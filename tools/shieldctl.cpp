@@ -21,8 +21,8 @@
 //   shieldctl inspect [--seconds S]     run stress-kernel and print the
 //                                       ps/vmstat/lock tables
 //
-// stat, trace and blame run the scenario cold at the seed `run` and the
-// figure benches give it, so they explain the run those print.
+// stat, trace and blame run the scenario at the seed `run` and the figure
+// benches give it, so they explain the run those print.
 // tools/report.py renders their documents as text.
 #include <cstdio>
 #include <cstdlib>
@@ -55,9 +55,9 @@ void usage(const char* argv0, std::FILE* to) {
       "  %s describe <scenario>\n"
       "  %s run <scenario>... [options]\n"
       "  %s run --all [options]\n"
-      "  %s stat <scenario> [--seed N] [--scale X] [--prom]\n"
-      "  %s trace <scenario> [--seed N] [--scale X] --out FILE\n"
-      "  %s blame <scenario> [--seed N] [--scale X] [--worst N]\n"
+      "  %s stat <scenario> [--seed N] [--scale X] [--smoke] [--prom]\n"
+      "  %s trace <scenario> [--seed N] [--scale X] [--smoke] [--out FILE]\n"
+      "  %s blame <scenario> [--seed N] [--scale X] [--smoke] [--worst N]\n"
       "           [--threshold NS]\n"
       "  %s demo [--seconds S] [--seed N]\n"
       "  %s inspect [--seconds S] [--seed N]\n"
@@ -83,9 +83,8 @@ void usage(const char* argv0, std::FILE* to) {
       "                  change)\n"
       "  --max-events N  watchdog: abort a run after N simulated events\n"
       "  --wall-limit S  watchdog: abort a run after S wall-clock seconds\n"
-      "  --no-prefix     disable prefix-snapshot sharing (scenarios with\n"
-      "                  the same machine+kernel+workloads normally fork\n"
-      "                  one warmed snapshot instead of booting each time)\n"
+      "  --no-prefix     accepted and ignored: every run builds and boots its\n"
+      "                  own platform at its own seed\n"
       "  --spec-json F   load an extra scenario spec from JSON file F (may\n"
       "                  repeat); runs after the selected registry specs\n"
       "  --journal DIR   write-ahead campaign journal: append start/done\n"
@@ -104,13 +103,13 @@ void usage(const char* argv0, std::FILE* to) {
       "                  outcomes too (M = full: the whole ring at run end;\n"
       "                  M = worst: the window around the worst observed\n"
       "                  probe sample); forces fresh, uncached runs\n"
-      "stat, trace and blame:\n"
+      "stat, trace and blame (each takes only its own options below):\n"
       "  --seed N        root RNG seed, as for run: the scenario runs at the\n"
       "                  seed run derives from it by name, so these explain\n"
-      "                  the run that `run --no-prefix` and the figure\n"
-      "                  benches print. They always run cold; run's forked\n"
-      "                  default draws other streams. Render the JSON\n"
-      "                  with tools/report.py telemetry|blame.\n"
+      "                  the run that `run` and the figure benches print.\n"
+      "                  Render the JSON with tools/report.py\n"
+      "                  telemetry|blame.\n"
+      "  --scale X, --smoke  as for run\n"
       "stat options:\n"
       "  --prom          print the Prometheus text exposition instead of the\n"
       "                  telemetry-v1 document\n"
@@ -143,7 +142,6 @@ struct RunArgs {
   bool telemetry = false;
   std::uint64_t max_events = 0;
   double wall_limit_s = 0.0;
-  bool no_prefix = false;
   std::string mechanism;  ///< empty = leave each spec's own mechanism
   std::vector<std::string> spec_json;  ///< extra spec files to append
   std::string journal_dir;             ///< empty = no journal
@@ -197,7 +195,8 @@ RunArgs parse_run(int argc, char** argv, int from) {
       need_value(i);
       a.wall_limit_s = std::strtod(argv[++i], nullptr);
     } else if (std::strcmp(argv[i], "--no-prefix") == 0) {
-      a.no_prefix = true;
+      // No effect: every run is cold. Still accepted because perfbench's
+      // stress-long store campaign, frozen with the benchmark, passes it.
     } else if (std::strcmp(argv[i], "--spec-json") == 0) {
       need_value(i);
       a.spec_json.emplace_back(argv[++i]);
@@ -338,7 +337,6 @@ int cmd_run(const RunArgs& a) {
   ro.cache_dir = a.cache_dir;
   ro.max_events = a.max_events;
   ro.wall_limit_s = a.wall_limit_s;
-  ro.prefix_reuse = !a.no_prefix;
   if (a.flight_dump == "full") {
     ro.flight_dump = config::ScenarioRunner::Options::FlightDump::kFull;
   } else if (a.flight_dump == "worst") {
@@ -351,27 +349,28 @@ int cmd_run(const RunArgs& a) {
   std::vector<std::optional<config::RunOutcome>> adopted(specs.size());
   std::size_t adopted_count = 0, requeued_count = 0;
   if (!a.journal_dir.empty()) {
-    // Forked and cold runs of one (spec, seed) differ, so the journal
-    // records which of the two this campaign computes.
-    const bool cold = a.no_prefix || !a.flight_dump.empty();
+    // A flight-dump run's done record carries its ring, so the journal
+    // records the mode and a resume must not mix modes.
     const auto replay = config::CampaignJournal::replay(a.journal_dir);
     if (replay.has_campaign &&
         (replay.root_seed != a.seed || replay.scale != a.scale ||
-         replay.spec_count != specs.size() || replay.cold != cold)) {
+         replay.spec_count != specs.size() ||
+         replay.flight_dump != a.flight_dump)) {
       std::fprintf(stderr,
                    "journal: '%s' belongs to a different campaign (seed %llu "
-                   "scale %g over %zu specs, %s runs); refusing to mix "
+                   "scale %g over %zu specs, flight dump %s); refusing to mix "
                    "results\n",
                    a.journal_dir.c_str(),
                    static_cast<unsigned long long>(replay.root_seed),
                    replay.scale, replay.spec_count,
-                   replay.cold ? "cold" : "forked");
+                   replay.flight_dump.empty() ? "off"
+                                              : replay.flight_dump.c_str());
       return 2;
     }
-    // Done records carry neither the scale nor the run kind, so without a
-    // campaign record nothing says which campaign computed them. A torn
-    // first line (killed during the first write) leaves no done records
-    // and still resumes.
+    // Done records carry neither the scale nor the flight-dump mode, so
+    // without a campaign record nothing says which campaign computed them.
+    // A torn first line (killed during the first write) leaves no done
+    // records and still resumes.
     if (!replay.has_campaign && !replay.done.empty()) {
       std::fprintf(stderr,
                    "journal: '%s' holds %zu completed outcome%s but no "
@@ -388,7 +387,7 @@ int cmd_run(const RunArgs& a) {
       return 2;
     }
     if (!replay.has_campaign) {
-      journal->write_campaign(a.seed, a.scale, specs.size(), cold);
+      journal->write_campaign(a.seed, a.scale, specs.size(), a.flight_dump);
     }
     if (replay.corrupt_lines > 0) {
       std::fprintf(stderr,
@@ -469,8 +468,6 @@ int cmd_run(const RunArgs& a) {
   // Stitch adopted and freshly-run outcomes back into spec order.
   config::BatchReport report;
   report.cache_entries_recomputed = fresh.cache_entries_recomputed;
-  report.prefix_hits = fresh.prefix_hits;
-  report.prefix_misses = fresh.prefix_misses;
   report.supervisor = std::move(fresh.supervisor);
   {
     std::size_t k = 0;
@@ -516,18 +513,6 @@ int cmd_run(const RunArgs& a) {
                      to_string(out.status), out.error.c_str());
       }
     }
-  }
-  if (!a.json && report.prefix_hits + report.prefix_misses > 0) {
-    const double rate =
-        static_cast<double>(report.prefix_hits) /
-        static_cast<double>(report.prefix_hits + report.prefix_misses);
-    std::printf(
-        "fork reuse: %llu of %llu runs forked a shared prefix snapshot "
-        "(%.0f%% hit rate)\n",
-        static_cast<unsigned long long>(report.prefix_hits),
-        static_cast<unsigned long long>(report.prefix_hits +
-                                        report.prefix_misses),
-        100.0 * rate);
   }
   // Per-mechanism pass/fail breakdown whenever the batch mixed mechanisms
   // in (mirrors the report JSON's by_mechanism object).
@@ -610,44 +595,60 @@ int cmd_run(const RunArgs& a) {
   return report.all_ok() ? 0 : 1;
 }
 
-struct StatArgs {
+/// Arguments of the single-scenario observability commands. All three take
+/// --seed, --scale and --smoke; each takes only its own options besides.
+struct ObserveArgs {
+  std::string cmd;  ///< "stat", "trace" or "blame"
   std::string name;
   std::uint64_t seed = 2003;
   double scale = 1.0;
-  bool prom = false;
+  bool prom = false;            ///< stat: Prometheus text, not telemetry-v1
+  std::string out;              ///< trace: output path ("" or "-" = stdout)
+  int worst = 8;                ///< blame: worst-N cause trees
+  std::uint64_t threshold = 0;  ///< blame: attribute-everything-above floor
 };
 
-StatArgs parse_stat(int argc, char** argv, int from) {
-  StatArgs a;
-  const auto need_value = [&](int i) {
+ObserveArgs parse_observe(int argc, char** argv) {
+  ObserveArgs a;
+  a.cmd = argv[1];
+  const auto value = [&](int& i) {
     if (i + 1 >= argc) {
       bad_arg(argv, (std::string("missing value for ") + argv[i]).c_str());
     }
+    return argv[++i];
   };
-  for (int i = from; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seed") == 0) {
-      need_value(i);
-      a.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--scale") == 0) {
-      need_value(i);
-      a.scale = std::strtod(argv[++i], nullptr);
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
+  for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--seed") {
+      a.seed = std::strtoull(value(i), nullptr, 10);
+    } else if (arg == "--scale") {
+      a.scale = std::strtod(value(i), nullptr);
+    } else if (arg == "--smoke") {
       a.scale = 0.01;
-    } else if (std::strcmp(argv[i], "--prom") == 0) {
+    } else if (a.cmd == "stat" && arg == "--prom") {
       a.prom = true;
-    } else if (argv[i][0] == '-') {
-      bad_arg(argv, (std::string("unknown option '") + argv[i] + "'").c_str());
+    } else if (a.cmd == "trace" && arg == "--out") {
+      a.out = value(i);
+    } else if (a.cmd == "blame" && arg == "--worst") {
+      a.worst = static_cast<int>(std::strtol(value(i), nullptr, 10));
+    } else if (a.cmd == "blame" && arg == "--threshold") {
+      a.threshold = std::strtoull(value(i), nullptr, 10);
+    } else if (arg[0] == '-') {
+      bad_arg(argv,
+              ("unknown " + a.cmd + " option '" + arg + "'").c_str());
     } else if (a.name.empty()) {
-      a.name = argv[i];
+      a.name = arg;
     } else {
-      bad_arg(argv, "stat takes exactly one scenario");
+      bad_arg(argv, (a.cmd + " takes exactly one scenario").c_str());
     }
   }
-  if (a.name.empty()) bad_arg(argv, "stat: no scenario name given");
+  if (a.name.empty()) {
+    bad_arg(argv, (a.cmd + ": no scenario name given").c_str());
+  }
   return a;
 }
 
-int cmd_stat(const StatArgs& a) {
+int cmd_stat(const ObserveArgs& a) {
   const auto* base = config::ScenarioRegistry::builtin().find(a.name);
   if (base == nullptr) {
     std::fprintf(stderr, "unknown scenario '%s' (try: shieldctl list)\n",
@@ -681,56 +682,6 @@ int cmd_stat(const StatArgs& a) {
 }
 
 // ---- trace / blame ----------------------------------------------------------
-
-/// Shared argument shape for the single-scenario observability commands.
-struct ObserveArgs {
-  std::string name;
-  std::uint64_t seed = 2003;
-  double scale = 1.0;
-  std::string out;             ///< trace: output path ("" or "-" = stdout)
-  int worst = 8;               ///< blame: worst-N cause trees
-  std::uint64_t threshold = 0; ///< blame: attribute-everything-above floor
-};
-
-ObserveArgs parse_observe(int argc, char** argv, int from, const char* cmd) {
-  ObserveArgs a;
-  const auto need_value = [&](int i) {
-    if (i + 1 >= argc) {
-      bad_arg(argv, (std::string("missing value for ") + argv[i]).c_str());
-    }
-  };
-  for (int i = from; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seed") == 0) {
-      need_value(i);
-      a.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--scale") == 0) {
-      need_value(i);
-      a.scale = std::strtod(argv[++i], nullptr);
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      a.scale = 0.01;
-    } else if (std::strcmp(argv[i], "--out") == 0) {
-      need_value(i);
-      a.out = argv[++i];
-    } else if (std::strcmp(argv[i], "--worst") == 0) {
-      need_value(i);
-      a.worst = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--threshold") == 0) {
-      need_value(i);
-      a.threshold = std::strtoull(argv[++i], nullptr, 10);
-    } else if (argv[i][0] == '-') {
-      bad_arg(argv, (std::string("unknown option '") + argv[i] + "'").c_str());
-    } else if (a.name.empty()) {
-      a.name = argv[i];
-    } else {
-      bad_arg(argv,
-              (std::string(cmd) + " takes exactly one scenario").c_str());
-    }
-  }
-  if (a.name.empty()) {
-    bad_arg(argv, (std::string(cmd) + ": no scenario name given").c_str());
-  }
-  return a;
-}
 
 /// Kernel lock ids carried in ring entries → the kernel's own lock names.
 std::string lock_id_name(int id) {
@@ -914,9 +865,9 @@ int main(int argc, char** argv) {
   if (cmd == "list") return cmd_list(argc, argv);
   if (cmd == "describe" && argc >= 3) return cmd_describe(argv[2]);
   if (cmd == "run") return cmd_run(parse_run(argc, argv, 2));
-  if (cmd == "stat") return cmd_stat(parse_stat(argc, argv, 2));
-  if (cmd == "trace") return cmd_trace(parse_observe(argc, argv, 2, "trace"));
-  if (cmd == "blame") return cmd_blame(parse_observe(argc, argv, 2, "blame"));
+  if (cmd == "stat") return cmd_stat(parse_observe(argc, argv));
+  if (cmd == "trace") return cmd_trace(parse_observe(argc, argv));
+  if (cmd == "blame") return cmd_blame(parse_observe(argc, argv));
   if (cmd == "demo") return cmd_demo(Args::parse(argc, argv, 2));
   if (cmd == "inspect") return cmd_inspect(Args::parse(argc, argv, 2));
   if (cmd == "--help" || cmd == "help") {
