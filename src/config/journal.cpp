@@ -105,28 +105,38 @@ CampaignJournal::Replay CampaignJournal::replay(const std::string& dir) {
       const Value env = Value::parse(line);
       const Value* rec = json::unseal(env, kFormat, "record");
       if (rec == nullptr) {
-        out.corrupt_lines++;
+        // A line another journal format wrote is not damage: count it apart,
+        // so a resume can name the format instead of blaming torn writes.
+        const Value* fmt = env.find("format");
+        if (fmt != nullptr && fmt->is_string() && fmt->as_string() != kFormat &&
+            fmt->as_string().starts_with("campaign-journal-")) {
+          if (out.other_format.empty()) out.other_format = fmt->as_string();
+          out.other_format_lines++;
+        } else {
+          out.corrupt_lines++;
+        }
         continue;
       }
       // A sealed record missing a required field is as corrupt as a torn
       // line: at() throws into the catch below before anything is applied.
       const std::string& kind = rec->at("event").as_string();
       if (kind == "campaign") {
-        if (const Value* v = rec->find("root_seed")) out.root_seed = v->as_u64();
-        if (const Value* v = rec->find("scale")) out.scale = v->as_double();
+        Campaign c;
+        if (const Value* v = rec->find("root_seed")) c.root_seed = v->as_u64();
+        if (const Value* v = rec->find("scale")) c.scale = v->as_double();
         if (const Value* v = rec->find("specs")) {
-          out.spec_count = static_cast<std::size_t>(v->as_u64());
+          c.spec_count = static_cast<std::size_t>(v->as_u64());
         }
         if (const Value* v = rec->find("flight_dump")) {
-          out.flight_dump = v->as_string();
+          c.flight_dump = v->as_string();
         }
         // Set last, so a mistyped field leaves no half-read identity behind.
-        out.has_campaign = true;
+        out.campaign = std::move(c);
       } else if (kind == "start") {
         out.in_flight.insert(rec->at("name").as_string());
       } else if (kind == "done") {
         const std::string& name = rec->at("name").as_string();
-        Adopted a;
+        DoneRecord a;
         a.digest = rec->at("digest").as_string();
         a.seed = rec->at("seed").as_u64();
         a.outcome = RunOutcome::from_json(rec->at("outcome"));
@@ -139,6 +149,47 @@ CampaignJournal::Replay CampaignJournal::replay(const std::string& dir) {
       out.records++;
     } catch (const std::exception&) {
       out.corrupt_lines++;
+    }
+  }
+  return out;
+}
+
+CampaignJournal::Adoption CampaignJournal::adopt(
+    const Replay& replay, const Campaign& campaign,
+    const std::vector<ScenarioSpec>& specs) {
+  if (replay.other_format_lines > 0) {
+    throw std::runtime_error(
+        "holds " + std::to_string(replay.other_format_lines) +
+        " line(s) sealed under " + replay.other_format + ", not " + kFormat +
+        "; refusing to mix formats in one file");
+  }
+  if (replay.campaign && *replay.campaign != campaign) {
+    const Campaign& c = *replay.campaign;
+    throw std::runtime_error(
+        "belongs to a different campaign (seed " + std::to_string(c.root_seed) +
+        " scale " + Value(c.scale).dump() + " over " +
+        std::to_string(c.spec_count) + " specs, flight dump " +
+        (c.flight_dump.empty() ? "off" : c.flight_dump) +
+        "); refusing to mix results");
+  }
+  // A torn first line (killed during the first write) leaves no done
+  // records either, and still resumes.
+  if (!replay.campaign && !replay.done.empty()) {
+    throw std::runtime_error(
+        "holds " + std::to_string(replay.done.size()) +
+        " completed outcome(s) but no campaign record, so they cannot be "
+        "checked against this campaign; refusing to adopt them");
+  }
+  Adoption out;
+  out.outcomes.resize(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const auto it = replay.done.find(specs[i].name);
+    if (it != replay.done.end() && it->second.digest == specs[i].digest() &&
+        it->second.seed == batch_seed(campaign.root_seed, specs[i])) {
+      out.outcomes[i] = it->second.outcome;
+      out.adopted++;
+    } else if (replay.in_flight.count(specs[i].name) > 0) {
+      out.requeued++;
     }
   }
   return out;

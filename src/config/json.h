@@ -107,10 +107,9 @@ class Value {
 /// rendered as 16 hex digits. Used as the ScenarioSpec digest.
 [[nodiscard]] std::string content_digest(const Value& v);
 
-/// The checksum envelope both on-disk stores write (result cache entries,
-/// campaign journal lines): {"format": format, "checksum":
-/// content_digest(payload), <field>: payload}, so torn writes and bit rot
-/// are detectable on read.
+/// The checksum envelope the campaign journal writes around each line:
+/// {"format": format, "checksum": content_digest(payload), <field>:
+/// payload}, so torn writes and bit rot are detectable on read.
 [[nodiscard]] Value seal(std::string_view format, std::string_view field,
                          Value payload);
 /// The payload of an envelope sealed under (format, field); nullptr when

@@ -213,7 +213,7 @@ json::Value ScenarioSpec::to_json() const {
   v.set("probe", probe);
   v.set("probe_params", probe_params);
   // Emitted only when non-default so pre-mechanism spec digests — and their
-  // cached byte-identical outputs — are unchanged.
+  // byte-identical outputs — are unchanged.
   if (mechanism != "inband") v.set("mechanism", mechanism);
   v.set("shield", shield_to_json(shield));
   v.set("duration", duration_to_json(duration));
@@ -292,10 +292,10 @@ ScenarioSpec ScenarioSpec::from_json(const json::Value& v) {
 }
 
 std::string ScenarioSpec::digest() const {
-  // The digest keys the result caches, so it must cover exactly the fields
+  // The digest keys journal adoption, so it must cover exactly the fields
   // that can change a fixed-(seed, scale) run's output — no more, no less.
   // Presentation fields (title, description, group, paper_ref) are
-  // excluded: editing prose must never invalidate a cache. So is
+  // excluded: editing prose must never invalidate a stored outcome. So is
   // `transient`: it only governs whether *failures* are retried at derived
   // seeds, never what any single (spec, seed) attempt simulates. `name`
   // stays in — it is copied into the result JSON.

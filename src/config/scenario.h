@@ -4,7 +4,7 @@
 // overrides), hyperthreading override, workload list, RT probe + params,
 // shield plan and duration policy. It serializes to/from JSON, validates
 // against the workload/probe registries, and hashes to a stable digest —
-// the cache key ScenarioRunner uses. Every figure and ablation in this
+// with the seed, what a campaign journal adopts an outcome by. Every figure and ablation in this
 // repository is one of these records (see the registry in experiment.h);
 // nothing about an experiment lives in bench code any more.
 #pragma once
@@ -109,7 +109,7 @@ struct ScenarioSpec {
   /// Interrupt-delivery mechanism: "inband" (the paper's kernels; default)
   /// or "oob" (the dual-kernel out-of-band stage — the probe task and its
   /// IRQ line are adopted by kernel::OobPipeline). The default is not
-  /// serialized, so every pre-existing spec's digest — and its cached,
+  /// serialized, so every pre-existing spec's digest — and its
   /// byte-identical output — is unchanged.
   std::string mechanism = "inband";
 
@@ -136,8 +136,8 @@ struct ScenarioSpec {
   [[nodiscard]] json::Value to_json() const;
   static ScenarioSpec from_json(const json::Value& v);
 
-  /// Content hash of the canonical JSON form — with the seed and scale,
-  /// the result-cache key.
+  /// Content hash of the canonical JSON form — with the seed, the key a
+  /// campaign journal adopts an outcome by.
   [[nodiscard]] std::string digest() const;
 
   /// Check every token against its registry (machine, kernel, workloads +

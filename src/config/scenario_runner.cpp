@@ -1,11 +1,9 @@
 #include "config/scenario_runner.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <filesystem>
+#include <map>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -158,55 +156,6 @@ void apply_mechanism(const ScenarioSpec& spec, Platform& p, rt::Probe& probe) {
   auto& oob = static_cast<kernel::OobPipeline&>(k.pipeline());
   if (probe.task() != nullptr) oob.adopt_task(*probe.task());
   if (probe.irq() >= 0) oob.adopt_irq(probe.irq());
-}
-
-bool read_file(const std::string& path, std::string& out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  char buf[4096];
-  std::size_t n = 0;
-  out.clear();
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return true;
-}
-
-bool write_file(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool ok =
-      std::fwrite(content.data(), 1, content.size(), f) == content.size();
-  std::fclose(f);
-  return ok;
-}
-
-// ---- disk-cache integrity ---------------------------------------------------
-
-/// Cache files are a sealed envelope around the result payload so partial
-/// writes and bit rot are detectable (json::seal). Files in the old
-/// bare-result format fail the check and get recomputed — migration by
-/// quarantine.
-constexpr const char* kCacheFormat = "shieldsim-cache-v1";
-
-std::string encode_cache_entry(const ScenarioResult& r) {
-  return json::seal(kCacheFormat, "result", r.to_json()).dump(2);
-}
-
-std::optional<ScenarioResult> decode_cache_entry(const std::string& text) {
-  try {
-    const Value env = Value::parse(text);
-    const Value* payload = json::unseal(env, kCacheFormat, "result");
-    if (payload == nullptr) return std::nullopt;
-    return ScenarioResult::from_json(*payload);
-  } catch (const std::exception&) {
-    return std::nullopt;  // truncated / not JSON / wrong shapes
-  }
-}
-
-void quarantine_cache_file(const std::string& path) {
-  // Keep the evidence next to the cache rather than deleting it: a
-  // .quarantined file is inert (never read back) but diagnosable.
-  (void)std::rename(path.c_str(), (path + ".quarantined").c_str());
 }
 
 // ---- platform construction --------------------------------------------------
@@ -515,8 +464,8 @@ json::Value ScenarioResult::to_json() const {
   v.set("events", events);
   v.set("duration_ns", duration_ns);
   v.set("probe", probe_result_to_json(probe));
-  // Absent entirely when telemetry was off, so older cache entries and
-  // telemetry-free results keep their exact serialized form.
+  // Absent entirely when telemetry was off, so telemetry-free results keep
+  // their exact serialized form.
   if (!telemetry.is_null()) v.set("telemetry", telemetry);
   return v;
 }
@@ -656,7 +605,7 @@ std::size_t BatchReport::count(RunStatus s) const {
 
 json::Value BatchReport::to_json() const {
   Value v = Value::object();
-  v.set("schema", "degraded-run-report-v1");
+  v.set("schema", "degraded-run-report-v2");
   v.set("total", outcomes.size());
   v.set("ok", count(RunStatus::kOk));
   v.set("retried", count(RunStatus::kRetried));
@@ -669,7 +618,6 @@ json::Value BatchReport::to_json() const {
   }
   if (count(RunStatus::kCrashed) > 0) v.set("crashed", count(RunStatus::kCrashed));
   if (count(RunStatus::kHung) > 0) v.set("hung", count(RunStatus::kHung));
-  v.set("cache_entries_recomputed", cache_entries_recomputed);
   // Per-mechanism pass/fail breakdown, present only when the batch actually
   // mixed mechanisms in (any non-default outcome) — all-inband reports keep
   // their exact serialized form.
@@ -706,95 +654,14 @@ json::Value BatchReport::to_json() const {
 
 // ---- ScenarioRunner --------------------------------------------------------
 
-ScenarioRunner::ScenarioRunner(Options opt)
-    : opt_(std::move(opt)), sweep_(opt_.jobs) {
-  if (!opt_.cache_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(opt_.cache_dir, ec);
-    const bool usable = std::filesystem::is_directory(opt_.cache_dir, ec) &&
-                        ::access(opt_.cache_dir.c_str(), W_OK) == 0;
-    if (!usable) {
-      std::fprintf(stderr,
-                   "warning: cache dir '%s' is not writable; "
-                   "falling back to in-memory cache\n",
-                   opt_.cache_dir.c_str());
-      opt_.cache_dir.clear();
-    }
-  }
-}
-
-ScenarioRunner::~ScenarioRunner() = default;
-
-std::string ScenarioRunner::cache_key(const std::string& digest,
-                                      std::uint64_t seed) const {
-  // "-es1" versions the early-stop horizon semantics (sample-bound runs end
-  // when the probe banks its budget, so latency/telemetry exports cover a
-  // shorter window than entries written before early stop existed).
-  return digest + "-" + std::to_string(seed) + "-" + Value(opt_.scale).dump() +
-         "-es1";
-}
-
-std::string ScenarioRunner::cache_path(const std::string& key) const {
-  return opt_.cache_dir + "/" + key + ".json";
-}
-
 ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec,
                                    std::uint64_t seed, const Hooks& hooks) {
-  // A flight-dump run behaves like an observed one: the dump is not part
-  // of the cacheable result, so the run must be fresh, and its result must
-  // not be cached (a later dump-free run would otherwise read a
-  // byte-identical entry, which is fine, but a later dump run would get a
-  // cache hit with no recording attached).
-  const bool observed = hooks.finished != nullptr ||
-                        opt_.flight_dump != Options::FlightDump::kOff;
-  const std::string key = cache_key(spec.digest(), seed);
-  if (opt_.cache && !observed) {
-    {
-      const std::scoped_lock hold(cache_mutex_);
-      const auto it = memory_cache_.find(key);
-      if (it != memory_cache_.end()) {
-        ScenarioResult r = it->second;
-        r.from_cache = true;
-        return r;
-      }
-    }
-    if (!opt_.cache_dir.empty()) {
-      std::string text;
-      const std::string path = cache_path(key);
-      if (read_file(path, text)) {
-        if (auto cached = decode_cache_entry(text)) {
-          cached->from_cache = true;
-          const std::scoped_lock hold(cache_mutex_);
-          memory_cache_[key] = *cached;
-          return *cached;
-        }
-        // Truncated, corrupt or checksum-mismatched entry: never trust it.
-        quarantine_cache_file(path);
-        cache_recomputed_.fetch_add(1);
-      }
-    }
-  }
-
-  ScenarioResult r = simulate(spec, seed, hooks);
-  if (opt_.cache && !observed) {
-    const std::scoped_lock hold(cache_mutex_);
-    memory_cache_[key] = r;
-    if (!opt_.cache_dir.empty()) {
-      write_file(cache_path(key), encode_cache_entry(r));
-    }
-  }
-  return r;
-}
-
-ScenarioResult ScenarioRunner::simulate(const ScenarioSpec& spec,
-                                       std::uint64_t seed,
-                                       const Hooks& hooks) {
   spec.validate();
   warm_process_statics();
   const std::unique_ptr<Platform> p(new_platform(spec, Presets(spec), seed));
-  LiveRun run(opt_, spec, seed, *p);
+  LiveRun live(opt_, spec, seed, *p);
   try {
-    run.finish();
+    live.finish();
   } catch (const ScenarioAbort&) {
     throw;  // already carries its dump
   } catch (const std::exception& e) {
@@ -804,8 +671,8 @@ ScenarioResult ScenarioRunner::simulate(const ScenarioSpec& spec,
     throw ScenarioFailure(e.what(),
                           flight_dump_json(p->engine().flight_recorder()));
   }
-  if (hooks.finished) hooks.finished(*p, run.probe());
-  return run.result();
+  if (hooks.finished) hooks.finished(*p, live.probe());
+  return live.result();
 }
 
 ScenarioRunner::SnapshotCheck ScenarioRunner::snapshot_bit_identity(
@@ -820,7 +687,7 @@ ScenarioRunner::SnapshotCheck ScenarioRunner::snapshot_bit_identity(
   hooks.finished = [&](Platform& p, rt::Probe&) {
     baseline_counters = kernel_counters_text(p);
   };
-  out.baseline = simulate(spec, seed, hooks).to_json().dump(2) + "\n" +
+  out.baseline = run(spec, seed, hooks).to_json().dump(2) + "\n" +
                  baseline_counters;
 
   // The same lifecycle hosted in an arena and paused at mid-horizon: take
@@ -876,8 +743,7 @@ RunOutcome ScenarioRunner::run_outcome(const ScenarioSpec& spec,
     try {
       out.result = run(spec, attempt_seed);
       // A flight-dump run attached its ring to the result as transport;
-      // move it onto the outcome, which is what serializes it. The result
-      // itself stays dump-free so cache entries keep their exact form.
+      // move it onto the outcome, which is what serializes it.
       if (!out.result->flight_recording.is_null()) {
         out.flight_recording = std::move(out.result->flight_recording);
         out.result->flight_recording = Value();
@@ -939,7 +805,6 @@ BatchReport ScenarioRunner::run_batch_report(
     if (observer.finished) observer.finished(i, specs[i], out);
     return out;
   });
-  report.cache_entries_recomputed = cache_recomputed_.load();
   return report;
 }
 

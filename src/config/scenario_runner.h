@@ -4,19 +4,17 @@
 // workloads, builds the probe, boots, applies the shield plan, runs to the
 // horizon and returns a serializable ScenarioResult. Batches fan out over
 // bench::SweepRunner with per-scenario seeds derived via sim::derive_seed
-// (insertion-order independent), and results are cached in memory (and
-// optionally on disk) keyed by (spec digest, seed, scale).
+// (insertion-order independent). Every run simulates: the campaign journal
+// (config/journal.h) is the one store that keeps and adopts outcomes.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "config/json.h"
@@ -28,7 +26,7 @@
 namespace config {
 
 /// What one (spec, seed, scale) run produced. Pure simulated data — it
-/// JSON-round-trips exactly, which is what makes the cache sound.
+/// JSON-round-trips exactly, so a journaled outcome can stand in for the run.
 struct ScenarioResult {
   std::string name;
   std::string digest;  ///< spec digest the run was keyed by
@@ -46,13 +44,10 @@ struct ScenarioResult {
   /// from the serialized form, so telemetry-free results are byte-identical
   /// to pre-telemetry ones.
   json::Value telemetry;
-  /// True when the result came out of the cache, not a fresh simulation.
-  /// Not serialized: a round-tripped result compares equal either way.
-  bool from_cache = false;
   /// Transport-only: the run's flight-recorder dump when the runner's
   /// flight_dump option asked for one on success. Not serialized with the
-  /// result (cache entries stay byte-identical); run_outcome moves it onto
-  /// the outcome record, which does serialize it.
+  /// result; run_outcome moves it onto the outcome record, which does
+  /// serialize it.
   json::Value flight_recording;
 
   [[nodiscard]] json::Value to_json() const;
@@ -156,9 +151,6 @@ struct RunOutcome {
 /// even when some fail — callers decide what a partial batch is worth.
 struct BatchReport {
   std::vector<RunOutcome> outcomes;
-  /// Disk-cache entries that failed integrity checks and were quarantined
-  /// and recomputed during this runner's lifetime.
-  std::uint64_t cache_entries_recomputed = 0;
   /// Always 0. Kept only because perfbench/measure.cpp, which is frozen
   /// with the benchmark, reads them for its config.prefix_hit_pct layer
   /// metric.
@@ -183,12 +175,11 @@ class ScenarioRunner {
     /// Multiplies sample counts / fixed horizons, like the benches'
     /// --scale always has.
     double scale = 1.0;
-    /// In-memory result cache keyed by (digest, seed, scale).
+    /// Ignored, both: every run builds, installs and boots its own platform
+    /// at its own seed, and no result is memoized. Kept only because
+    /// perfbench/measure.cpp, which is frozen with the benchmark, sets them.
     bool cache = true;
-    /// Also persist results under this directory (empty = memory only).
-    /// Created (recursively) if missing; if it ends up unwritable the
-    /// runner warns once on stderr and falls back to memory-only caching.
-    std::string cache_dir;
+    bool prefix_reuse = false;
     /// Watchdog: abort a run (ScenarioTimeout) after this many simulated
     /// events (0 = unlimited).
     std::uint64_t max_events = 0;
@@ -198,34 +189,26 @@ class ScenarioRunner {
     /// Attempts for specs flagged `transient` (reseeded per retry); specs
     /// not flagged always get exactly one attempt.
     int max_attempts = 2;
-    /// Ignored: every run builds, installs and boots its own platform at
-    /// its own seed. Kept only because perfbench/measure.cpp, which is
-    /// frozen with the benchmark, still sets it.
-    bool prefix_reuse = false;
     /// Attach the flight-recorder ring to *successful* runs too (outcomes
     /// gain a flight_recording document). kFull dumps the whole ring at the
     /// end of the run; kWorst snapshots the ring around the worst observed
-    /// probe sample (trigger mode). Either mode forces fresh runs (the dump
-    /// is not part of the cacheable result) — ring contents are pure
-    /// simulated data, so the dump is still deterministic per (spec, seed).
+    /// probe sample (trigger mode). Ring contents are pure simulated data,
+    /// so the dump is deterministic per (spec, seed).
     enum class FlightDump { kOff, kFull, kWorst };
     FlightDump flight_dump = FlightDump::kOff;
   };
 
-  /// Observation points for runs that need more than the cacheable result
-  /// (e.g. shieldctl stat's Prometheus text). Any hook forces a fresh
-  /// simulation: hooks see live Platform/Probe state the cache cannot
-  /// reproduce.
+  /// Observation points for runs that need more than the serialized result
+  /// (e.g. shieldctl stat's Prometheus text): hooks see live Platform/Probe
+  /// state.
   struct Hooks {
     /// After the horizon has elapsed, before the result is extracted.
     std::function<void(Platform&, rt::Probe&)> finished;
   };
 
   ScenarioRunner() : ScenarioRunner(Options{}) {}
-  explicit ScenarioRunner(Options opt);
-  ~ScenarioRunner();
-
-  [[nodiscard]] const Options& options() const { return opt_; }
+  explicit ScenarioRunner(Options opt)
+      : opt_(std::move(opt)), sweep_(opt_.jobs) {}
 
   /// Verification harness for the snapshot layer: run `spec` three ways —
   /// an ordinary uninterrupted run, an arena-hosted run snapshotted at
@@ -245,7 +228,7 @@ class ScenarioRunner {
   SnapshotCheck snapshot_bit_identity(const ScenarioSpec& spec,
                                       std::uint64_t seed);
 
-  /// Run one scenario at one seed, synchronously in this thread.
+  /// Simulate one scenario at one seed, synchronously in this thread.
   ScenarioResult run(const ScenarioSpec& spec, std::uint64_t seed,
                      const Hooks& hooks = {});
 
@@ -278,35 +261,19 @@ class ScenarioRunner {
   };
 
   /// Hardened batch: every spec runs to an outcome regardless of other
-  /// specs failing; the report carries per-spec status plus cache-repair
-  /// accounting. Seeds derive like run_batch's.
+  /// specs failing; the report carries per-spec status. Seeds derive like
+  /// run_batch's.
   BatchReport run_batch_report(const std::vector<ScenarioSpec>& specs,
                                std::uint64_t root_seed);
   BatchReport run_batch_report(const std::vector<ScenarioSpec>& specs,
                                std::uint64_t root_seed,
                                const BatchObserver& observer);
 
-  /// Disk-cache entries quarantined + recomputed so far (integrity check
-  /// failures: truncated writes, corruption, checksum mismatches).
-  [[nodiscard]] std::uint64_t cache_entries_recomputed() const {
-    return cache_recomputed_.load();
-  }
-
  private:
   class LiveRun;
 
-  /// Build, install, boot and run a fresh platform: every uncached run.
-  ScenarioResult simulate(const ScenarioSpec& spec, std::uint64_t seed,
-                          const Hooks& hooks);
-  [[nodiscard]] std::string cache_key(const std::string& digest,
-                                      std::uint64_t seed) const;
-  [[nodiscard]] std::string cache_path(const std::string& key) const;
-
   Options opt_;
   bench::SweepRunner sweep_;
-  std::mutex cache_mutex_;
-  std::map<std::string, ScenarioResult> memory_cache_;
-  std::atomic<std::uint64_t> cache_recomputed_{0};
 };
 
 /// Digest of the part of a spec that precedes the probe: machine, kernel

@@ -148,9 +148,6 @@ struct WorkerTask {
       done.set("event", "done");
       done.set("index", task.index);
       done.set("outcome", out.to_full_json());
-      // The cumulative runner total; the supervisor folds in the latest
-      // value per worker generation.
-      done.set("recomputed", runner.cache_entries_recomputed());
       if (!write_line(result_fd, done)) std::_Exit(1);
     }
   }
@@ -175,8 +172,6 @@ struct Slot {
   int fault_index = -1;
   std::string fault_kind;
   Value fault_flight;
-  // Cumulative runner total from the worker's latest done message.
-  std::uint64_t recomputed = 0;
 
   [[nodiscard]] bool alive() const { return pid > 0; }
   [[nodiscard]] bool busy() const { return assigned.has_value(); }
@@ -230,7 +225,6 @@ bool spawn_worker(Slot& slot, std::vector<Slot>& slots,
   slot.fault_index = -1;
   slot.fault_kind.clear();
   slot.fault_flight = Value();
-  slot.recomputed = 0;
   slot.heartbeat = Clock::now();
   return true;
 }
@@ -255,7 +249,6 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
   std::vector<std::optional<RunOutcome>> outcomes(total);
   std::vector<int> respawns_of(total, 0);
   std::size_t completed = 0;
-  std::uint64_t total_recomputed = 0;
 
   const auto seed_of = [&](std::size_t i) {
     return batch_seed(root_seed, specs[i]);
@@ -341,7 +334,7 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
     }
     outcomes[i] = std::move(out);
     completed++;
-    stats_.quarantined++;
+    stats_.specs_quarantined++;
   };
 
   const auto handle_death = [&](Slot& slot) {
@@ -352,8 +345,6 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
     const int exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : 0;
     const bool clean = WIFEXITED(status) && exit_code == 0 && !slot.busy();
     const bool hung = slot.kill_sent;
-
-    total_recomputed += slot.recomputed;
 
     if (!clean) {
       if (hung) {
@@ -408,7 +399,6 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
     slot.assigned.reset();
     slot.running.reset();
     slot.kill_sent = false;
-    slot.recomputed = 0;
   };
 
   const auto process_line = [&](Slot& slot, const std::string& line) {
@@ -443,7 +433,6 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
       } catch (const std::exception&) {
         return;  // malformed outcome: leave the spec pending for re-queue
       }
-      if (const Value* v = msg.find("recomputed")) slot.recomputed = v->as_u64();
       if (slot.running == i) slot.running.reset();
       if (slot.assigned == i) slot.assigned.reset();
       slot.death_streak = 0;
@@ -598,7 +587,6 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
     int status = 0;
     (void)::waitpid(slot.pid, &status, 0);
     close_fd(slot.rfd);
-    total_recomputed += slot.recomputed;
     slot.pid = -1;
   }
   alive_gauge.set(0, 0);
@@ -608,7 +596,6 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
   BatchReport report;
   report.outcomes.reserve(total);
   for (auto& o : outcomes) report.outcomes.push_back(std::move(*o));
-  report.cache_entries_recomputed = total_recomputed;
 
   Value sup = Value::object();
   sup.set("workers", nworkers);
@@ -617,7 +604,7 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
   sup.set("worker_crashes", stats_.worker_crashes);
   sup.set("worker_hangs", stats_.worker_hangs);
   sup.set("requeues", stats_.requeues);
-  sup.set("quarantined", stats_.quarantined);
+  sup.set("quarantined", stats_.specs_quarantined);
   sup.set("backoff_total_s", stats_.backoff_total_s);
   if (!incidents.items().empty()) sup.set("incidents", std::move(incidents));
   report.supervisor = std::move(sup);

@@ -54,7 +54,7 @@ class Supervisor {
     std::uint64_t worker_crashes = 0;  ///< deaths by signal / nonzero exit
     std::uint64_t worker_hangs = 0;    ///< workers SIGKILLed by the heartbeat
     std::uint64_t requeues = 0;      ///< spec re-dispatches after a death
-    std::uint64_t quarantined = 0;   ///< specs given terminal crash outcomes
+    std::uint64_t specs_quarantined = 0;  ///< given terminal crash outcomes
     double backoff_total_s = 0.0;    ///< wall time slots spent in backoff
   };
 

@@ -22,7 +22,7 @@ namespace rt {
 
 /// Everything a scenario result keeps from a probe run. Pure simulated
 /// data — it serializes exactly (histograms via bucket counts + summary),
-/// which is what makes scenario results cacheable.
+/// which is what lets a journaled outcome stand in for the run.
 struct ProbeResult {
   metrics::LatencyHistogram primary;  ///< the headline latency distribution
   /// Probe-specific cross-check (realfeel: wake latencies; rcim: the other

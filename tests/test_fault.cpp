@@ -179,8 +179,8 @@ TEST(FaultPlan, RidesOnScenarioSpecJsonAndDigest) {
       config::ScenarioSpec::from_json(config::json::Value::parse(dumped));
   EXPECT_EQ(back.to_json().dump(), dumped);
   EXPECT_NE(s.digest(), base_digest);  // a plan is part of the spec identity
-  // An empty plan is NOT part of the identity: digests (and thus cache keys)
-  // of every pre-fault spec are unchanged.
+  // An empty plan is NOT part of the identity: digests (and thus journal
+  // keys) of every pre-fault spec are unchanged.
   s.faults = fault::FaultPlan{};
   EXPECT_EQ(s.digest(), base_digest);
 }
@@ -311,7 +311,6 @@ TEST(Injector, SameSeedSamePlanIsBitIdentical) {
   auto spec = spec_of("faults-storm-shielded");
   config::ScenarioRunner::Options ro;
   ro.scale = 0.005;
-  ro.cache = false;
   config::ScenarioRunner runner(ro);
   const auto a = runner.run(spec, 42);
   const auto b = runner.run(spec, 42);
@@ -326,7 +325,6 @@ TEST(Injector, EmptyPlanDoesNotPerturbTheRun) {
   with_empty.faults = fault::FaultPlan{};
   config::ScenarioRunner::Options ro;
   ro.scale = 0.005;
-  ro.cache = false;
   config::ScenarioRunner runner(ro);
   EXPECT_EQ(runner.run(base, 9).to_json().dump(),
             runner.run(with_empty, 9).to_json().dump());

@@ -1,12 +1,9 @@
 // The declarative scenario layer: spec JSON round-trips, validation,
-// registry completeness, the parallel runner, result serialization, the
-// (digest, seed, scale) cache and seed derivation.
+// registry completeness, the parallel runner, result serialization and seed
+// derivation.
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
-#include <filesystem>
-#include <functional>
 #include <set>
 #include <stdexcept>
 
@@ -14,7 +11,6 @@
 #include "config/json.h"
 #include "config/scenario.h"
 #include "config/scenario_runner.h"
-#include "kernel_test_util.h"
 #include "rt/probe.h"
 #include "sim/rng.h"
 #include "sim/time.h"
@@ -48,7 +44,7 @@ TEST(ScenarioSpec, DigestChangesWithContent) {
   b.probe_params.set("samples", 12345);
   EXPECT_NE(a.digest(), b.digest());
   // Presentation-only fields are digest-neutral: retitling a spec must not
-  // invalidate cached results whose simulated content is unchanged.
+  // invalidate journaled outcomes whose simulated content is unchanged.
   auto c = a;
   c.title += " (edited)";
   c.description += " (edited)";
@@ -63,11 +59,11 @@ TEST(ScenarioSpec, DigestChangesWithContent) {
 }
 
 TEST(ScenarioSpec, DigestCoversExactlyTheBehaviorAffectingFields) {
-  // The cache-soundness contract, field by field: any mutation that can
+  // The adoption-soundness contract, field by field: any mutation that can
   // change what a run produces must change the digest; any mutation that
   // cannot must leave it alone. A behavior field missing from the digest
-  // means the cache serves stale results; a presentation field included
-  // means retitling invalidates good ones.
+  // means a resumed journal adopts stale outcomes; a presentation field
+  // included means retitling invalidates good ones.
   const auto base = spec_of("fig6");
   const auto mutated_digest = [&](auto&& mutate) {
     auto s = base;
@@ -247,7 +243,6 @@ TEST(ScenarioRunner, BatchSeedsAreOrderIndependent) {
   // the same per-scenario numbers.
   config::ScenarioRunner::Options ro;
   ro.scale = 0.005;
-  ro.cache = false;
   config::ScenarioRunner runner(ro);
   const std::vector<config::ScenarioSpec> ab{spec_of("fig6"), spec_of("fig7")};
   const std::vector<config::ScenarioSpec> ba{spec_of("fig7"), spec_of("fig6")};
@@ -255,40 +250,6 @@ TEST(ScenarioRunner, BatchSeedsAreOrderIndependent) {
   const auto r2 = runner.run_batch(ba, 2003);
   EXPECT_EQ(r1[0].to_json().dump(), r2[1].to_json().dump());
   EXPECT_EQ(r1[1].to_json().dump(), r2[0].to_json().dump());
-}
-
-TEST(ScenarioRunner, MemoryCacheHitsAndIsExact) {
-  config::ScenarioRunner::Options ro;
-  ro.scale = 0.005;
-  config::ScenarioRunner runner(ro);
-  const auto spec = spec_of("fig6");
-  const auto a = runner.run(spec, 11);
-  EXPECT_FALSE(a.from_cache);
-  const auto b = runner.run(spec, 11);
-  EXPECT_TRUE(b.from_cache);
-  EXPECT_EQ(a.to_json().dump(), b.to_json().dump());
-  // A different seed is a different key.
-  EXPECT_FALSE(runner.run(spec, 12).from_cache);
-}
-
-TEST(ScenarioRunner, DiskCachePersistsAcrossRunners) {
-  const std::string dir = testutil::temp_dir("scenario_cache_test");
-  config::ScenarioRunner::Options ro;
-  ro.scale = 0.005;
-  ro.cache_dir = dir;
-  const auto spec = spec_of("fig7");
-  std::string first;
-  {
-    config::ScenarioRunner runner(ro);
-    first = runner.run(spec, 5).to_json().dump();
-  }
-  {
-    config::ScenarioRunner runner(ro);  // fresh memory cache
-    const auto r = runner.run(spec, 5);
-    EXPECT_TRUE(r.from_cache);
-    EXPECT_EQ(r.to_json().dump(), first);
-  }
-  std::filesystem::remove_all(dir);
 }
 
 TEST(ScenarioRunner, SampleBoundRunsStopOnceTheProbeBanksItsBudget) {
@@ -300,7 +261,6 @@ TEST(ScenarioRunner, SampleBoundRunsStopOnceTheProbeBanksItsBudget) {
   const auto spec = spec_of("abl-shield-full");
   config::ScenarioRunner::Options ro;
   ro.scale = 0.005;
-  ro.cache = false;
   config::ScenarioRunner early(ro);
 
   const auto a = early.run(spec, 2003);
@@ -341,7 +301,6 @@ TEST(ScenarioRunner, FixedDurationRunsAlwaysCoverTheFullSpan) {
   ASSERT_GT(spec.duration.fixed_ns, 0);
   config::ScenarioRunner::Options ro;
   ro.scale = 0.01;
-  ro.cache = false;
   config::ScenarioRunner plain(ro);
   auto wo = ro;
   wo.max_events = std::uint64_t{1} << 40;  // arms the sliced walk, never fires
@@ -370,20 +329,6 @@ TEST(ScenarioRunner, FixedDurationRunsAlwaysCoverTheFullSpan) {
             static_cast<std::uint64_t>(
                 static_cast<double>(fixed.duration.fixed_ns) * ro.scale));
   EXPECT_GT(full.duration_ns, early.duration_ns);
-}
-
-TEST(ScenarioRunner, HooksBypassTheCache) {
-  config::ScenarioRunner::Options ro;
-  ro.scale = 0.005;
-  config::ScenarioRunner runner(ro);
-  const auto spec = spec_of("fig6");
-  (void)runner.run(spec, 11);  // warm the cache
-  int finished = 0;
-  config::ScenarioRunner::Hooks hooks;
-  hooks.finished = [&](config::Platform&, rt::Probe&) { ++finished; };
-  const auto r = runner.run(spec, 11, hooks);
-  EXPECT_FALSE(r.from_cache);
-  EXPECT_EQ(finished, 1);
 }
 
 TEST(ScenarioRunner, ResultJsonRoundTripPreservesHistograms) {
@@ -488,33 +433,42 @@ TEST(ScenarioRunner, EventWatchdogTimesOutAsTimedOut) {
 }
 
 TEST(ScenarioRunner, TransientSpecRetriesWithDerivedSeedAndCanRecover) {
-  // Deterministic "flaky" setup: pre-warm the shared disk cache with the
-  // result the retry seed will ask for, then run under a watchdog so tight
-  // that any fresh simulation times out. Attempt 1 (fresh) times out;
-  // attempt 2 hits the cache and succeeds -> kRetried.
-  const std::string dir = testutil::temp_dir("scenario_cache_retry_test");
+  // Deterministic "flaky" setup on the event watchdog alone: a budget that
+  // the base seed's run overshoots and its retry#1 seed's run fits. Both
+  // costs come from uncapped runs. The base seed is the smallest in 1..8
+  // whose run executes more events than the run at its retry#1 seed.
   auto s = spec_of("fig6");
   s.transient = true;
-  const std::uint64_t seed = 77;
-  const auto retry_seed =
-      sim::derive_seed(seed, sim::SeedDomain::kRetry, "retry#1");
-  config::ScenarioRunner::Options warm;
-  warm.scale = 0.005;
-  warm.cache_dir = dir;
-  {
-    config::ScenarioRunner warmer(warm);
-    (void)warmer.run(s, retry_seed);
+  const auto retry_of = [](std::uint64_t seed) {
+    return sim::derive_seed(seed, sim::SeedDomain::kRetry, "retry#1");
+  };
+  config::ScenarioRunner::Options ro;
+  ro.scale = 0.005;
+  config::ScenarioRunner uncapped(ro);
+  std::uint64_t seed = 0;
+  config::ScenarioResult retry_run;
+  for (std::uint64_t candidate = 1; candidate <= 8 && seed == 0; ++candidate) {
+    const auto base_run = uncapped.run(s, candidate);
+    retry_run = uncapped.run(s, retry_of(candidate));
+    if (base_run.events > retry_run.events) seed = candidate;
   }
-  auto ro = warm;
-  ro.max_events = 100;
+  ASSERT_NE(seed, 0u) << "no seed in 1..8 costs more events than its retry";
+
+  // The watchdog counts the events a result reports: one event under the
+  // retry run's cost times that run out, and its exact cost does not.
+  ro.max_events = retry_run.events - 1;
+  EXPECT_THROW((void)config::ScenarioRunner(ro).run(s, retry_of(seed)),
+               config::ScenarioTimeout);
+  ro.max_events = retry_run.events;
   config::ScenarioRunner runner(ro);
   const auto out = runner.run_outcome(s, seed);
   EXPECT_EQ(out.status, config::RunStatus::kRetried);
   EXPECT_EQ(out.attempts, 2);
   EXPECT_TRUE(out.ok());
+  ASSERT_EQ(out.retry_seeds.size(), 1u);
+  EXPECT_EQ(out.retry_seeds[0], retry_of(seed));
   ASSERT_TRUE(out.result.has_value());
-  EXPECT_EQ(out.result->seed, retry_seed);
-  std::filesystem::remove_all(dir);
+  EXPECT_EQ(out.result->to_json().dump(), retry_run.to_json().dump());
 }
 
 TEST(ScenarioRunner, ForkedChildTimeoutAttachesItsOwnFlightRecording) {
@@ -526,7 +480,6 @@ TEST(ScenarioRunner, ForkedChildTimeoutAttachesItsOwnFlightRecording) {
   // that has no faults.
   config::ScenarioRunner::Options opt;
   opt.scale = 0.005;
-  opt.cache = false;
   opt.max_events = 1'000'000;  // ~600k for the faulted run: comfortable
   config::ScenarioRunner runner(opt);
 
@@ -572,165 +525,11 @@ TEST(ScenarioRunner, BatchReportRecordsEveryOutcome) {
   EXPECT_FALSE(report.outcomes[1].error.empty());
 
   const auto v = report.to_json();
-  EXPECT_EQ(v.find("schema")->as_string(), "degraded-run-report-v1");
+  EXPECT_EQ(v.find("schema")->as_string(), "degraded-run-report-v2");
   EXPECT_EQ(v.find("total")->as_u64(), 2u);
   EXPECT_EQ(v.find("ok")->as_u64(), 1u);
   EXPECT_EQ(v.find("failed")->as_u64(), 1u);
   EXPECT_EQ(v.find("outcomes")->items().size(), 2u);
-}
-
-// ---- cache integrity --------------------------------------------------------
-
-namespace {
-
-std::string cache_file_path(const std::string& dir,
-                            const config::ScenarioSpec& spec,
-                            std::uint64_t seed, const char* scale) {
-  // Mirrors ScenarioRunner::cache_key under the early-stop horizon
-  // semantics (the "-es1" marker).
-  return dir + "/" + spec.digest() + "-" + std::to_string(seed) + "-" + scale +
-         "-es1.json";
-}
-
-}  // namespace
-
-TEST(ScenarioRunner, TruncatedCacheEntryIsQuarantinedAndRecomputed) {
-  const std::string dir = testutil::temp_dir("scenario_cache_corrupt_test");
-  const auto spec = spec_of("fig7");
-  config::ScenarioRunner::Options ro;
-  ro.scale = 0.005;
-  ro.cache_dir = dir;
-  std::string fresh;
-  {
-    config::ScenarioRunner runner(ro);
-    fresh = runner.run(spec, 5).to_json().dump();
-  }
-  const auto path = cache_file_path(dir, spec, 5, "0.005");
-  {  // truncate the entry mid-payload, as a crashed writer would
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("{\"format\":\"shieldsim-cache-v1\",\"checksum\":\"dead", f);
-    std::fclose(f);
-  }
-  {
-    config::ScenarioRunner runner(ro);  // fresh memory cache
-    const auto r = runner.run(spec, 5);
-    EXPECT_FALSE(r.from_cache);  // corrupt data was never trusted
-    EXPECT_EQ(r.to_json().dump(), fresh);
-    EXPECT_EQ(runner.cache_entries_recomputed(), 1u);
-    // The bad bytes were quarantined for post-mortem, and a good entry
-    // took their place.
-    std::FILE* q = std::fopen((path + ".quarantined").c_str(), "r");
-    EXPECT_NE(q, nullptr);
-    if (q != nullptr) std::fclose(q);
-    const auto again = runner.run(spec, 5);
-    EXPECT_TRUE(again.from_cache);
-  }
-  {
-    config::ScenarioRunner runner(ro);  // and it persists for later runners
-    EXPECT_TRUE(runner.run(spec, 5).from_cache);
-    EXPECT_EQ(runner.cache_entries_recomputed(), 0u);
-  }
-  std::filesystem::remove_all(dir);
-}
-
-TEST(ScenarioRunner, ChecksumMismatchIsQuarantinedAndRecomputed) {
-  const std::string dir = testutil::temp_dir("scenario_cache_bitrot_test");
-  const auto spec = spec_of("fig7");
-  config::ScenarioRunner::Options ro;
-  ro.scale = 0.005;
-  ro.cache_dir = dir;
-  std::string fresh;
-  {
-    config::ScenarioRunner runner(ro);
-    fresh = runner.run(spec, 6).to_json().dump();
-  }
-  const auto path = cache_file_path(dir, spec, 6, "0.005");
-  const auto flip_checksum = [](std::string content) {
-    // Valid JSON, wrong integrity: corrupt one digest char.
-    const auto pos = content.find("\"checksum\"");
-    EXPECT_NE(pos, std::string::npos);
-    if (pos != std::string::npos) content[content.find(':', pos) + 3] ^= 1;
-    return content;
-  };
-  const auto drop_moments = [](std::string content) {
-    // Valid integrity, hostile payload: re-sealed around a histogram
-    // summary that claims one sample but carries none of its moments. The
-    // parser must reject it, not dereference the missing fields.
-    auto result = *config::json::Value::parse(content).find("result");
-    auto probe = *result.find("probe");
-    auto primary = *probe.find("primary");
-    auto summary = config::json::Value::object();
-    summary.set("n", 1);
-    primary.set("summary", std::move(summary));
-    probe.set("primary", std::move(primary));
-    result.set("probe", std::move(probe));
-    return config::json::seal("shieldsim-cache-v1", "result",
-                              std::move(result))
-        .dump(2);
-  };
-  for (const auto& rewrite :
-       {std::function<std::string(std::string)>(flip_checksum),
-        std::function<std::string(std::string)>(drop_moments)}) {
-    std::FILE* f = std::fopen(path.c_str(), "r");
-    ASSERT_NE(f, nullptr);
-    std::string content;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) content.append(buf, n);
-    std::fclose(f);
-    content = rewrite(std::move(content));
-    f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fwrite(content.data(), 1, content.size(), f);
-    std::fclose(f);
-
-    config::ScenarioRunner runner(ro);
-    const auto r = runner.run(spec, 6);
-    EXPECT_FALSE(r.from_cache);
-    EXPECT_EQ(r.to_json().dump(), fresh);
-    EXPECT_EQ(runner.cache_entries_recomputed(), 1u);
-    std::remove((path + ".quarantined").c_str());
-  }
-  std::filesystem::remove_all(dir);
-}
-
-TEST(ScenarioRunner, NestedCacheDirIsCreatedRecursively) {
-  const std::string root = testutil::temp_dir("scenario_cache_nest_test");
-  const std::string dir = root + "/a/b";
-  const auto spec = spec_of("fig7");
-  config::ScenarioRunner::Options ro;
-  ro.scale = 0.005;
-  ro.cache_dir = dir;
-  {
-    config::ScenarioRunner runner(ro);
-    (void)runner.run(spec, 7);
-  }
-  const auto path = cache_file_path(dir, spec, 7, "0.005");
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  EXPECT_NE(f, nullptr) << path;
-  if (f != nullptr) std::fclose(f);
-  std::filesystem::remove_all(root);
-}
-
-TEST(ScenarioRunner, UnusableCacheDirFallsBackToMemory) {
-  // A cache_dir that collides with an existing *file* cannot be created;
-  // the runner must warn and run memory-only, not crash.
-  const std::string file = testutil::temp_dir("scenario_cache_collision_test");
-  {
-    std::FILE* f = std::fopen(file.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("not a directory\n", f);
-    std::fclose(f);
-  }
-  config::ScenarioRunner::Options ro;
-  ro.scale = 0.005;
-  ro.cache_dir = file;
-  config::ScenarioRunner runner(ro);
-  const auto a = runner.run(spec_of("fig7"), 8);
-  EXPECT_FALSE(a.from_cache);
-  EXPECT_TRUE(runner.run(spec_of("fig7"), 8).from_cache);  // memory cache
-  std::remove(file.c_str());
 }
 
 // ---- seed derivation --------------------------------------------------------
@@ -789,7 +588,6 @@ TEST(ScenarioRunner, WallClockWatchdogFiresMidRunNotOnlyAtPollBoundaries) {
   s.probe_params.set("samples", 50'000'000);  // hours of simulated probing
   config::ScenarioRunner::Options ro;
   ro.wall_limit_s = 0.2;
-  ro.cache = false;
   config::ScenarioRunner runner(ro);
   const auto t0 = std::chrono::steady_clock::now();
   const auto out = runner.run_outcome(s, 7);
@@ -809,7 +607,6 @@ TEST(ScenarioRunner, UnderCollectedProbeClassifiesIncomplete) {
   s.transient = true;  // must NOT trigger retries for incompleteness
   s.duration.fixed_ns = 50 * sim::kMillisecond;
   config::ScenarioRunner::Options ro;
-  ro.cache = false;
   config::ScenarioRunner runner(ro);
   const auto out = runner.run_outcome(s, 3);
   EXPECT_EQ(out.status, config::RunStatus::kIncomplete);

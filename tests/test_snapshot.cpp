@@ -237,7 +237,6 @@ TEST(SeedDomains, AllNamespacesAreMutuallyDisjoint) {
 TEST(SnapshotBitIdentity, EveryBuiltinSpecSurvivesMidRunRestore) {
   config::ScenarioRunner::Options opt;
   opt.scale = 0.01;  // smoke scale: full coverage, bounded runtime
-  opt.cache = false;
   config::ScenarioRunner runner(opt);
   for (const auto& spec : config::ScenarioRegistry::builtin().all()) {
     const auto check = runner.snapshot_bit_identity(spec, 2003);
@@ -256,7 +255,6 @@ TEST(SnapshotBitIdentity, EveryBuiltinSpecSurvivesMidRunRestore) {
 TEST(SnapshotBitIdentity, OobMechanismSurvivesMidRunRestore) {
   config::ScenarioRunner::Options opt;
   opt.scale = 0.01;
-  opt.cache = false;
   config::ScenarioRunner runner(opt);
   for (const char* name : {"mech-rcim-oob", "mech-cyclic-oob"}) {
     const auto spec = spec_of(name);
@@ -276,7 +274,6 @@ namespace {
 config::ScenarioRunner::Options prefix_options() {
   config::ScenarioRunner::Options opt;
   opt.scale = 0.01;
-  opt.cache = false;  // observe real runs, not cache hits
   opt.prefix_reuse = true;
   return opt;
 }

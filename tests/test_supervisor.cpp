@@ -79,10 +79,10 @@ TEST(CampaignJournal, ReplayRoundTripsRecordsAndRetiresInFlight) {
     j.write_incident(inc);
   }
   const auto replay = config::CampaignJournal::replay(dir);
-  EXPECT_TRUE(replay.has_campaign);
-  EXPECT_EQ(replay.root_seed, 2003u);
-  EXPECT_EQ(replay.scale, 0.01);
-  EXPECT_EQ(replay.spec_count, 3u);
+  ASSERT_TRUE(replay.campaign.has_value());
+  EXPECT_EQ(replay.campaign->root_seed, 2003u);
+  EXPECT_EQ(replay.campaign->scale, 0.01);
+  EXPECT_EQ(replay.campaign->spec_count, 3u);
   EXPECT_EQ(replay.records, 5u);
   EXPECT_EQ(replay.corrupt_lines, 0u);
   // "a" started and finished: adopted. "b" started and never finished:
@@ -100,7 +100,7 @@ TEST(CampaignJournal, ReplayRoundTripsRecordsAndRetiresInFlight) {
 
 TEST(CampaignJournal, MissingFileYieldsEmptyReplay) {
   const auto replay = config::CampaignJournal::replay("no_such_journal_dir");
-  EXPECT_FALSE(replay.has_campaign);
+  EXPECT_FALSE(replay.campaign.has_value());
   EXPECT_EQ(replay.records, 0u);
   EXPECT_TRUE(replay.done.empty());
   EXPECT_TRUE(replay.in_flight.empty());
@@ -119,13 +119,13 @@ TEST(CampaignJournal, CampaignRecordRoundTripsFlightDumpMode) {
     plain.write_campaign(2003, 0.01, 3);
   }
   const auto dump = config::CampaignJournal::replay(dump_dir);
-  ASSERT_TRUE(dump.has_campaign);
-  EXPECT_EQ(dump.flight_dump, "worst");
-  EXPECT_EQ(dump.root_seed, 2003u);
-  EXPECT_EQ(dump.spec_count, 3u);
+  ASSERT_TRUE(dump.campaign.has_value());
+  EXPECT_EQ(dump.campaign->flight_dump, "worst");
+  EXPECT_EQ(dump.campaign->root_seed, 2003u);
+  EXPECT_EQ(dump.campaign->spec_count, 3u);
   const auto plain = config::CampaignJournal::replay(plain_dir);
-  ASSERT_TRUE(plain.has_campaign);
-  EXPECT_EQ(plain.flight_dump, "");
+  ASSERT_TRUE(plain.campaign.has_value());
+  EXPECT_EQ(plain.campaign->flight_dump, "");
   EXPECT_NE(read_text(dump_dir + "/journal.jsonl")
                 .find("\"flight_dump\":\"worst\""),
             std::string::npos);
@@ -144,7 +144,7 @@ TEST(CampaignJournal, CampaignRecordRoundTripsFlightDumpMode) {
                       .dump() +
                   "\n");
   const auto mistyped = config::CampaignJournal::replay(dump_dir);
-  EXPECT_FALSE(mistyped.has_campaign);
+  EXPECT_FALSE(mistyped.campaign.has_value());
   EXPECT_EQ(mistyped.corrupt_lines, 1u);
   std::filesystem::remove_all(dump_dir);
 }
@@ -159,12 +159,17 @@ TEST(CampaignJournal, CorruptAndTornLinesAreSkippedAndCounted) {
     j.write_done("a", "da", 5, out);
   }
   const std::string path = dir + "/journal.jsonl";
-  // Corruption menu: plain garbage, a checksum-failing envelope, records
-  // whose checksum is valid but which lack a required field, a complete
-  // done record sealed under the v1 format (its runs forked a shared
-  // prefix, so it is never adopted), and a torn tail line (a SIGKILLed
-  // writer's last breath — no newline).
   const std::string format = config::CampaignJournal::kFormat;
+  const auto sealed = [&](const std::string& fmt,
+                          const config::json::Value& rec) {
+    append_text(path, config::json::seal(fmt, "record", rec).dump() + "\n");
+  };
+  // Corruption menu: plain garbage, a checksum-failing envelope, records
+  // whose checksum is valid but which lack a required field, a valid done
+  // record whose histogram summary claims one sample but carries none of
+  // its moments (the parser must reject it, not dereference the missing
+  // fields), and a torn tail line (a SIGKILLed writer's last breath — no
+  // newline).
   append_text(path, "not json at all\n");
   append_text(path, "{\"format\":\"" + format +
                         "\",\"checksum\":\"beef\","
@@ -173,33 +178,93 @@ TEST(CampaignJournal, CorruptAndTornLinesAreSkippedAndCounted) {
        {R"({"event":"start"})", R"({"name":"a","seed":5})",
         R"({"event":"done","name":"b"})",
         R"({"event":"done","name":"c","digest":"dc","seed":5})"}) {
-    append_text(path, config::json::seal(format, "record",
-                                         config::json::Value::parse(rec))
-                              .dump() +
-                          "\n");
+    sealed(format, config::json::Value::parse(rec));
   }
+  sealed(format, config::json::Value::parse(
+                     R"({"event":"done","name":"hostile","digest":"dh",)"
+                     R"("seed":5,"outcome":{"name":"hostile","status":"ok",)"
+                     R"("result":{"probe":{"primary":{"summary":{"n":1}}}}}})"));
+  // A complete done record sealed under the v1 format (its runs forked a
+  // shared prefix) is not damage: it is counted apart and never adopted.
   config::RunOutcome v1_outcome;
   v1_outcome.name = "v1";
   auto v1_done = config::json::Value::parse(
       R"({"event":"done","name":"v1","digest":"dv1","seed":5})");
   v1_done.set("outcome", v1_outcome.to_full_json());
-  append_text(path,
-              config::json::seal("campaign-journal-v1", "record", v1_done)
-                      .dump() +
-                  "\n");
+  sealed("campaign-journal-v1", v1_done);
   append_text(path, "{\"format\":\"" + format +
                         "\",\"checksum\":\"00\","
                         "\"record\":{\"event\":\"do");
   const auto replay = config::CampaignJournal::replay(dir);
   EXPECT_EQ(replay.records, 2u);
   EXPECT_EQ(replay.corrupt_lines, 8u);
-  EXPECT_TRUE(replay.has_campaign);
+  EXPECT_EQ(replay.other_format_lines, 1u);
+  EXPECT_EQ(replay.other_format, "campaign-journal-v1");
+  EXPECT_TRUE(replay.campaign.has_value());
   ASSERT_EQ(replay.done.size(), 1u);
   EXPECT_EQ(replay.done.count("a"), 1u);
-  EXPECT_EQ(replay.done.count("evil"), 0u);  // bad checksum never trusted
-  EXPECT_EQ(replay.done.count("v1"), 0u);    // old format never adopted
-  EXPECT_TRUE(replay.in_flight.empty());     // nameless start never applied
+  EXPECT_EQ(replay.done.count("evil"), 0u);     // bad checksum never trusted
+  EXPECT_EQ(replay.done.count("hostile"), 0u);  // hostile payload rejected
+  EXPECT_EQ(replay.done.count("v1"), 0u);       // old format never adopted
+  EXPECT_TRUE(replay.in_flight.empty());        // nameless start never applied
   std::filesystem::remove_all(dir);
+}
+
+TEST(CampaignJournal, AdoptsOnlyTheRecordOfTheSameSpecAndSeed) {
+  // The adoption rule: a done record answers a spec only under the spec's
+  // name, digest and batch seed. A record with the wrong digest or the
+  // wrong seed is recomputed; an in-flight spec is re-queued.
+  using Campaign = config::CampaignJournal::Campaign;
+  const auto fig2 = spec_of("fig2");
+  const auto fig3 = spec_of("fig3");
+  const auto fig6 = spec_of("fig6");
+  const auto fig7 = spec_of("fig7");
+  const std::uint64_t root = 2003;
+  const Campaign campaign{root, 0.01, 4, ""};
+  const std::string dir = testutil::temp_dir("journal_adopt_test");
+  {
+    config::CampaignJournal j(dir);
+    j.write_campaign(root, 0.01, 4);
+    j.write_done(fig2.name, fig2.digest(), config::batch_seed(root, fig2), {});
+    j.write_done(fig3.name, fig6.digest(), config::batch_seed(root, fig3),
+                 {});  // wrong digest
+    j.write_done(fig6.name, fig6.digest(), config::batch_seed(root + 1, fig6),
+                 {});  // wrong seed
+    j.write_start(fig7.name, fig7.digest(), config::batch_seed(root, fig7));
+  }
+  const auto replay = config::CampaignJournal::replay(dir);
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(replay.done.size(), 3u);
+  const auto adoption = config::CampaignJournal::adopt(
+      replay, campaign, {fig2, fig3, fig6, fig7});
+  ASSERT_EQ(adoption.outcomes.size(), 4u);
+  EXPECT_TRUE(adoption.outcomes[0].has_value());
+  EXPECT_FALSE(adoption.outcomes[1].has_value());
+  EXPECT_FALSE(adoption.outcomes[2].has_value());
+  EXPECT_FALSE(adoption.outcomes[3].has_value());
+  EXPECT_EQ(adoption.adopted, 1u);
+  EXPECT_EQ(adoption.requeued, 1u);
+
+  // The journal as a whole: a resume under another campaign identity, of a
+  // file with another format's lines, or of done records with no campaign
+  // record to check them against is refused outright.
+  for (const auto& other :
+       {Campaign{root + 1, 0.01, 4, ""}, Campaign{root, 0.02, 4, ""},
+        Campaign{root, 0.01, 5, ""}, Campaign{root, 0.01, 4, "full"}}) {
+    EXPECT_THROW((void)config::CampaignJournal::adopt(replay, other, {}),
+                 std::runtime_error);
+  }
+  auto older = replay;
+  older.other_format_lines = 1;
+  older.other_format = "campaign-journal-v1";
+  EXPECT_THROW((void)config::CampaignJournal::adopt(older, campaign, {}),
+               std::runtime_error);
+  auto headless = replay;
+  headless.campaign.reset();
+  EXPECT_THROW((void)config::CampaignJournal::adopt(headless, campaign, {}),
+               std::runtime_error);
+  headless.done.clear();  // a torn first line: nothing to check, so resume
+  EXPECT_NO_THROW((void)config::CampaignJournal::adopt(headless, campaign, {}));
 }
 
 TEST(CampaignJournal, MergedReportExcludesExecutionTaxonomy) {
@@ -267,7 +332,7 @@ TEST(Supervisor, HostCrashIsRespawnedWithBackoffAndCompletes) {
   EXPECT_EQ(sup.stats().respawns, 1u);
   EXPECT_EQ(sup.stats().spawns, 2u);
   EXPECT_EQ(sup.stats().requeues, 1u);
-  EXPECT_EQ(sup.stats().quarantined, 0u);
+  EXPECT_EQ(sup.stats().specs_quarantined, 0u);
   EXPECT_GT(sup.stats().backoff_total_s, 0.0);
 
   // The completed rerun is byte-identical to an in-process run of the same
@@ -302,7 +367,7 @@ TEST(Supervisor, RepeatCrasherIsQuarantinedWithCrashTaxonomy) {
   // quarantined outcome carries it as the post-mortem artifact.
   EXPECT_FALSE(out.flight_recording.is_null());
   EXPECT_GT(out.flight_recording.find("recorded")->as_u64(), 0u);
-  EXPECT_EQ(sup.stats().quarantined, 1u);
+  EXPECT_EQ(sup.stats().specs_quarantined, 1u);
   EXPECT_EQ(sup.stats().worker_crashes, 1u);
   EXPECT_EQ(report.count(config::RunStatus::kCrashed), 1u);
   EXPECT_FALSE(report.all_ok());
@@ -344,7 +409,7 @@ TEST(Supervisor, JournalReplayReconstructsTheCampaignByteIdentically) {
   // Everything the run produced can be rebuilt from the journal alone —
   // the property that makes SIGKILLed campaigns resumable.
   const auto replay = config::CampaignJournal::replay(dir);
-  EXPECT_TRUE(replay.has_campaign);
+  EXPECT_TRUE(replay.campaign.has_value());
   ASSERT_EQ(replay.done.size(), specs.size());
   std::vector<config::RunOutcome> rebuilt;
   for (const auto& s : specs) {
@@ -368,15 +433,13 @@ TEST(Supervisor, JournalReplayReconstructsTheCampaignByteIdentically) {
 TEST(OneAnswer, EveryExecutionPathGivesTheSameBytes) {
   // The whole registry at smoke scale must serialize to the same outcome
   // bytes, and merge to the same campaign report, whichever path computed
-  // it: a cold in-process batch, a batch with the ignored prefix_reuse
-  // option on, disk-cache hits, supervised workers, and a journal-resumed
+  // it: a cold in-process batch, supervised workers, and a journal-resumed
   // campaign.
   const auto all = config::ScenarioRegistry::builtin().all();
   const std::uint64_t root = 2003;
   config::ScenarioRunner::Options cold;
   cold.scale = 0.01;
   cold.jobs = 2;
-  cold.cache = false;
 
   config::ScenarioRunner cold_runner(cold);
   const auto reference = cold_runner.run_batch_report(all, root);
@@ -401,35 +464,16 @@ TEST(OneAnswer, EveryExecutionPathGivesTheSameBytes) {
         << path << ": merged campaign reports differ";
   };
 
-  // prefix_reuse on, filling a disk cache that a fresh runner then reads
-  // every result back from.
-  const std::string cache_dir = testutil::temp_dir("one_answer_cache");
-  auto reuse = cold;
-  reuse.prefix_reuse = true;
-  reuse.cache = true;
-  reuse.cache_dir = cache_dir;
-  config::ScenarioRunner reuse_runner(reuse);
-  const auto reused = reuse_runner.run_batch_report(all, root);
-  same("prefix_reuse", reused.outcomes);
-  config::ScenarioRunner cache_runner(reuse);
-  const auto hits = cache_runner.run_batch_report(all, root);
-  for (const auto& o : hits.outcomes) {
-    ASSERT_TRUE(o.result.has_value()) << o.name;
-    EXPECT_TRUE(o.result->from_cache) << o.name;
-  }
-  same("cache hit", hits.outcomes);
-  std::filesystem::remove_all(cache_dir);
-
   config::Supervisor::Options so;
   so.workers = 2;
-  so.runner = reuse;
-  so.runner.cache = false;
-  so.runner.cache_dir.clear();
+  so.runner = cold;
   config::Supervisor sup(so);
-  same("supervised", sup.run(all, root).outcomes);
+  const auto supervised = sup.run(all, root);
+  same("supervised", supervised.outcomes);
 
-  // Resume: a journal holding the first half's outcomes, replayed and
-  // merged with a fresh run of the second half.
+  // Resume: a journal holding the supervised first half's outcomes, adopted
+  // through the journal's adoption rule as `shieldctl run --journal`
+  // adopts them, and stitched together with a fresh run of the rest.
   const std::string journal_dir = testutil::temp_dir("one_answer_journal");
   const std::size_t half = all.size() / 2;
   {
@@ -437,21 +481,23 @@ TEST(OneAnswer, EveryExecutionPathGivesTheSameBytes) {
     j.write_campaign(root, cold.scale, all.size());
     for (std::size_t i = 0; i < half; ++i) {
       j.write_done(all[i].name, all[i].digest(),
-                   config::batch_seed(root, all[i]), reused.outcomes[i]);
+                   config::batch_seed(root, all[i]), supervised.outcomes[i]);
     }
   }
-  const auto replay = config::CampaignJournal::replay(journal_dir);
-  ASSERT_EQ(replay.done.size(), half);
-  std::vector<config::RunOutcome> resumed;
-  for (std::size_t i = 0; i < half; ++i) {
-    resumed.push_back(replay.done.at(all[i].name).outcome);
+  auto adoption = config::CampaignJournal::adopt(
+      config::CampaignJournal::replay(journal_dir),
+      {root, cold.scale, all.size(), ""}, all);
+  std::filesystem::remove_all(journal_dir);
+  ASSERT_EQ(adoption.adopted, half);
+  std::vector<config::ScenarioSpec> rest;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    if (!adoption.outcomes[i]) rest.push_back(all[i]);
   }
-  const std::vector<config::ScenarioSpec> rest(
-      all.begin() + static_cast<std::ptrdiff_t>(half), all.end());
-  config::ScenarioRunner rest_runner(so.runner);
-  for (auto& o : rest_runner.run_batch_report(rest, root).outcomes) {
-    resumed.push_back(std::move(o));
+  auto fresh = cold_runner.run_batch_report(rest, root).outcomes;
+  std::vector<config::RunOutcome> resumed;
+  std::size_t k = 0;
+  for (auto& o : adoption.outcomes) {
+    resumed.push_back(o ? std::move(*o) : std::move(fresh[k++]));
   }
   same("journal-resumed", resumed);
-  std::filesystem::remove_all(journal_dir);
 }

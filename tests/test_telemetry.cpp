@@ -8,18 +8,21 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <sstream>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "config/experiment.h"
+#include "config/journal.h"
 #include "config/json.h"
 #include "config/platform.h"
 #include "config/scenario.h"
 #include "config/scenario_runner.h"
 #include "config/telemetry_export.h"
 #include "kernel/kernel.h"
+#include "kernel_test_util.h"
 #include "sim/engine.h"
 #include "sim/time.h"
 #include "telemetry/flight_recorder.h"
@@ -361,7 +364,6 @@ TEST(TelemetryIntegration, ProcfsAndJsonReportTheSameCounters) {
 
   config::ScenarioRunner::Options ro;
   ro.scale = 0.005;
-  ro.cache = false;
   config::ScenarioRunner runner(ro);
   bool checked = false;
   config::ScenarioRunner::Hooks hooks;
@@ -513,7 +515,6 @@ TEST(TelemetryIntegration, SamplerDoesNotPerturbTheSimulation) {
   observed.telemetry.sampler = true;
   config::ScenarioRunner::Options ro;
   ro.scale = 0.005;
-  ro.cache = false;
   config::ScenarioRunner runner(ro);
   const auto plain = runner.run(base, 11);
   const auto with = runner.run(observed, 11);
@@ -530,26 +531,33 @@ TEST(TelemetryIntegration, SamplerDoesNotPerturbTheSimulation) {
   EXPECT_EQ(with.events, plain.events + points.size());
 }
 
-TEST(TelemetryIntegration, ResultTelemetryRoundTripsThroughTheCache) {
+TEST(TelemetryIntegration, ResultTelemetryRoundTripsThroughTheJournal) {
   auto spec = spec_of("faults-smi-shielded");
   spec.telemetry.sampler = true;
   config::ScenarioRunner::Options ro;
   ro.scale = 0.005;
   config::ScenarioRunner runner(ro);
-  const auto fresh = runner.run(spec, 3);
-  const auto cached = runner.run(spec, 3);
-  EXPECT_FALSE(fresh.from_cache);
-  EXPECT_TRUE(cached.from_cache);
-  EXPECT_EQ(fresh.to_json().dump(), cached.to_json().dump());
-  const auto back = config::ScenarioResult::from_json(fresh.to_json());
-  EXPECT_EQ(back.telemetry.dump(), fresh.telemetry.dump());
+  const auto fresh = runner.run_outcome(spec, 3);
+  ASSERT_TRUE(fresh.result.has_value());
+  ASSERT_FALSE(fresh.result->telemetry.is_null());
+  const std::string dir = testutil::temp_dir("telemetry_journal_test");
+  {
+    config::CampaignJournal j(dir);
+    j.write_done(spec.name, spec.digest(), 3, fresh);
+  }
+  const auto replay = config::CampaignJournal::replay(dir);
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(replay.done.count(spec.name), 1u);
+  const auto& back = replay.done.at(spec.name).outcome;
+  ASSERT_TRUE(back.result.has_value());
+  EXPECT_EQ(back.result->telemetry.dump(), fresh.result->telemetry.dump());
+  EXPECT_EQ(back.to_full_json().dump(), fresh.to_full_json().dump());
 }
 
 TEST(TelemetryIntegration, WatchdogTimeoutCarriesAFlightDump) {
   const auto spec = spec_of("faults-storm-shielded");
   config::ScenarioRunner::Options ro;
   ro.scale = 0.02;
-  ro.cache = false;
   ro.max_events = 20'000;  // fires long before the horizon
   config::ScenarioRunner runner(ro);
   const auto out = runner.run_outcome(spec, 2003);

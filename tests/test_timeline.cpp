@@ -209,7 +209,6 @@ TEST(Blame, EveryBuiltinSpecPartitions) {
   // nanoseconds sum exactly to the sample total, never approximately.
   config::ScenarioRunner::Options opt;
   opt.scale = 0.01;  // smoke scale: full coverage, bounded runtime
-  opt.cache = false;
   config::ScenarioRunner runner(opt);
   std::uint64_t attributed_total = 0;
   for (const auto& spec : config::ScenarioRegistry::builtin().all()) {
@@ -284,7 +283,6 @@ TEST(Blame, RollupTotalsEqualTheSumOfScenarios) {
 TEST(FlightDump, AttachesToSuccessfulRuns) {
   config::ScenarioRunner::Options opt;
   opt.scale = 0.01;
-  opt.cache = false;
   opt.flight_dump = config::ScenarioRunner::Options::FlightDump::kFull;
   config::ScenarioRunner runner(opt);
   const auto r = runner.run(spec_of("fig2"), 2003);
@@ -300,7 +298,6 @@ TEST(FlightDump, AttachesToSuccessfulRuns) {
 TEST(FlightDump, WorstWindowModeMarksItsTrigger) {
   config::ScenarioRunner::Options opt;
   opt.scale = 0.01;
-  opt.cache = false;
   opt.flight_dump = config::ScenarioRunner::Options::FlightDump::kWorst;
   config::ScenarioRunner runner(opt);
   // fig6's realfeel probe rides the irq wakeup path, so its samples open
@@ -320,7 +317,6 @@ TEST(Timeline, ObservabilityLeavesRunOutputsBitIdentical) {
   // enabling it must not change one simulated byte of the figures.
   config::ScenarioRunner::Options opt;
   opt.scale = 0.01;
-  opt.cache = false;
   config::ScenarioRunner runner(opt);
   for (const char* name :
        {"fig2", "fig6", "mech-rcim-oob", "faults-storm-unshielded"}) {
@@ -342,7 +338,7 @@ TEST(Timeline, ObservabilityLeavesRunOutputsBitIdentical) {
 TEST(Timeline, KnobDefaultsAreDigestNeutral) {
   // The new telemetry knobs serialize only when non-default, so specs that
   // never mention them keep their exact pre-timeline digests (and their
-  // cache entries). Tuning knobs under a disabled feature stays neutral
+  // journaled outcomes). Tuning knobs under a disabled feature stays neutral
   // too: blame_worst is meaningless while blame is off.
   const auto spec = spec_of("fig2");
   auto copy = spec;
@@ -370,7 +366,6 @@ TEST(SnapshotBitIdentity, BlameEnabledSpecSurvivesMidRunRestore) {
   // attribution (and its exported JSON) would diverge.
   config::ScenarioRunner::Options opt;
   opt.scale = 0.01;
-  opt.cache = false;
   config::ScenarioRunner runner(opt);
   for (const char* name : {"fig2", "mech-rcim-oob"}) {
     auto spec = spec_of(name);

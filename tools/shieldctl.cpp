@@ -69,12 +69,9 @@ void usage(const char* argv0, std::FILE* to) {
       "  --smoke         shorthand for --scale 0.01\n"
       "  --json          print {spec, result} JSON per scenario instead of\n"
       "                  the rendered figure\n"
-      "  --cache-dir D   persist results under D keyed by (digest, seed,\n"
-      "                  scale); later runs reuse them\n"
       "  --report PATH   write the degraded-run batch report JSON to PATH\n"
-      "                  (per-spec ok/retried/failed/timed_out + cache\n"
-      "                  repairs); a failing spec no longer aborts the "
-      "batch\n"
+      "                  (per-spec ok/retried/failed/timed_out); a failing\n"
+      "                  spec no longer aborts the batch\n"
       "  --telemetry     force the sampler on for every selected scenario\n"
       "                  (results gain a telemetry document; digests "
       "change)\n"
@@ -102,7 +99,7 @@ void usage(const char* argv0, std::FILE* to) {
       "  --flight-dump M attach the flight-recorder ring to successful\n"
       "                  outcomes too (M = full: the whole ring at run end;\n"
       "                  M = worst: the window around the worst observed\n"
-      "                  probe sample); forces fresh, uncached runs\n"
+      "                  probe sample)\n"
       "stat, trace and blame (each takes only its own options below):\n"
       "  --seed N        root RNG seed, as for run: the scenario runs at the\n"
       "                  seed run derives from it by name, so these explain\n"
@@ -137,7 +134,6 @@ struct RunArgs {
   std::uint64_t seed = 2003;
   double scale = 1.0;
   unsigned jobs = 0;
-  std::string cache_dir;
   std::string report_path;
   bool telemetry = false;
   std::uint64_t max_events = 0;
@@ -174,9 +170,6 @@ RunArgs parse_run(int argc, char** argv, int from) {
     } else if (std::strcmp(argv[i], "--jobs") == 0) {
       need_value(i);
       a.jobs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--cache-dir") == 0) {
-      need_value(i);
-      a.cache_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--report") == 0) {
       need_value(i);
       a.report_path = argv[++i];
@@ -334,7 +327,6 @@ int cmd_run(const RunArgs& a) {
   config::ScenarioRunner::Options ro;
   ro.jobs = a.jobs;
   ro.scale = a.scale;
-  ro.cache_dir = a.cache_dir;
   ro.max_events = a.max_events;
   ro.wall_limit_s = a.wall_limit_s;
   if (a.flight_dump == "full") {
@@ -346,47 +338,22 @@ int cmd_run(const RunArgs& a) {
   // Write-ahead journal: replay what an earlier (possibly killed) run of
   // this campaign already finished, adopt those outcomes, re-run the rest.
   std::unique_ptr<config::CampaignJournal> journal;
-  std::vector<std::optional<config::RunOutcome>> adopted(specs.size());
-  std::size_t adopted_count = 0, requeued_count = 0;
+  config::CampaignJournal::Adoption adoption;
+  adoption.outcomes.resize(specs.size());
   if (!a.journal_dir.empty()) {
-    // A flight-dump run's done record carries its ring, so the journal
-    // records the mode and a resume must not mix modes.
+    const config::CampaignJournal::Campaign campaign{a.seed, a.scale,
+                                                     specs.size(),
+                                                     a.flight_dump};
     const auto replay = config::CampaignJournal::replay(a.journal_dir);
-    if (replay.has_campaign &&
-        (replay.root_seed != a.seed || replay.scale != a.scale ||
-         replay.spec_count != specs.size() ||
-         replay.flight_dump != a.flight_dump)) {
-      std::fprintf(stderr,
-                   "journal: '%s' belongs to a different campaign (seed %llu "
-                   "scale %g over %zu specs, flight dump %s); refusing to mix "
-                   "results\n",
-                   a.journal_dir.c_str(),
-                   static_cast<unsigned long long>(replay.root_seed),
-                   replay.scale, replay.spec_count,
-                   replay.flight_dump.empty() ? "off"
-                                              : replay.flight_dump.c_str());
-      return 2;
-    }
-    // Done records carry neither the scale nor the flight-dump mode, so
-    // without a campaign record nothing says which campaign computed them.
-    // A torn first line (killed during the first write) leaves no done
-    // records and still resumes.
-    if (!replay.has_campaign && !replay.done.empty()) {
-      std::fprintf(stderr,
-                   "journal: '%s' holds %zu completed outcome%s but no "
-                   "campaign record, so they cannot be checked against this "
-                   "campaign; refusing to adopt them\n",
-                   a.journal_dir.c_str(), replay.done.size(),
-                   replay.done.size() == 1 ? "" : "s");
-      return 2;
-    }
     try {
+      adoption = config::CampaignJournal::adopt(replay, campaign, specs);
       journal = std::make_unique<config::CampaignJournal>(a.journal_dir);
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
+      std::fprintf(stderr, "journal '%s': %s\n", a.journal_dir.c_str(),
+                   e.what());
       return 2;
     }
-    if (!replay.has_campaign) {
+    if (!replay.campaign) {
       journal->write_campaign(a.seed, a.scale, specs.size(), a.flight_dump);
     }
     if (replay.corrupt_lines > 0) {
@@ -396,37 +363,23 @@ int cmd_run(const RunArgs& a) {
                    static_cast<unsigned long long>(replay.corrupt_lines),
                    replay.corrupt_lines == 1 ? "" : "s");
     }
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      const auto it = replay.done.find(specs[i].name);
-      if (it != replay.done.end() && it->second.digest == specs[i].digest() &&
-          it->second.seed == config::batch_seed(a.seed, specs[i])) {
-        adopted[i] = it->second.outcome;
-        adopted_count++;
-      } else if (replay.in_flight.count(specs[i].name) > 0) {
-        requeued_count++;  // started but never finished: runs again
-      }
-    }
   }
 
   std::vector<config::ScenarioSpec> pending;
-  std::vector<std::size_t> pending_at;
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (!adopted[i]) {
-      pending.push_back(specs[i]);
-      pending_at.push_back(i);
-    }
+    if (!adoption.outcomes[i]) pending.push_back(specs[i]);
   }
 
   if (!a.json) {
     std::printf("running %zu scenario%s (seed %llu, scale %g)...\n",
                 specs.size(), specs.size() == 1 ? "" : "s",
                 static_cast<unsigned long long>(a.seed), a.scale);
-    if (journal && adopted_count + requeued_count > 0) {
+    if (journal && adoption.adopted + adoption.requeued > 0) {
       std::printf(
           "journal: adopted %zu completed outcome%s, re-queued %zu "
           "in-flight, %zu to run\n",
-          adopted_count, adopted_count == 1 ? "" : "s", requeued_count,
-          pending.size());
+          adoption.adopted, adoption.adopted == 1 ? "" : "s",
+          adoption.requeued, pending.size());
     }
     if (a.workers > 0 && !pending.empty()) {
       std::printf("supervising %zu spec%s across %d worker process%s\n",
@@ -467,13 +420,12 @@ int cmd_run(const RunArgs& a) {
 
   // Stitch adopted and freshly-run outcomes back into spec order.
   config::BatchReport report;
-  report.cache_entries_recomputed = fresh.cache_entries_recomputed;
   report.supervisor = std::move(fresh.supervisor);
   {
     std::size_t k = 0;
     for (std::size_t i = 0; i < specs.size(); ++i) {
-      if (adopted[i]) {
-        report.outcomes.push_back(std::move(*adopted[i]));
+      if (adoption.outcomes[i]) {
+        report.outcomes.push_back(std::move(*adoption.outcomes[i]));
       } else {
         report.outcomes.push_back(std::move(fresh.outcomes[k++]));
       }
@@ -499,9 +451,8 @@ int cmd_run(const RunArgs& a) {
       const auto& out = report.outcomes[i];
       if (out.result.has_value()) {
         std::fputs(out.result->render(specs[i]).c_str(), stdout);
-        std::printf("(%llu simulator events%s%s)\n",
+        std::printf("(%llu simulator events%s)\n",
                     static_cast<unsigned long long>(out.result->events),
-                    out.result->from_cache ? ", cached" : "",
                     out.status == config::RunStatus::kRetried ? ", retried"
                                                               : "");
         if (!out.ok()) {
@@ -660,7 +611,6 @@ int cmd_stat(const ObserveArgs& a) {
 
   config::ScenarioRunner::Options ro;
   ro.scale = a.scale;
-  ro.cache = false;  // hooks force a fresh run anyway; don't pollute caches
   config::ScenarioRunner runner(ro);
 
   // The registry lives on the engine inside the run's Platform, so the
@@ -707,7 +657,6 @@ int cmd_trace(const ObserveArgs& a) {
 
   config::ScenarioRunner::Options ro;
   ro.scale = a.scale;
-  ro.cache = false;  // hooks force a fresh run anyway; don't pollute caches
   config::ScenarioRunner runner(ro);
 
   // The ring and the collector live on the run's Platform, so the document
@@ -769,7 +718,6 @@ int cmd_blame(const ObserveArgs& a) {
 
   config::ScenarioRunner::Options ro;
   ro.scale = a.scale;
-  ro.cache = false;  // transient spec; don't pollute caches
   config::ScenarioRunner runner(ro);
 
   config::ScenarioResult r;

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verify flow, three builds: the plain build + tests + the
-# benchmark's own unit tests + end-to-end CLI smokes (registry, cache
-# repair, telemetry, reporters, trace export, blame, campaigns and their
-# resume and chaos gates), then the same tests under
+# benchmark's own unit tests + end-to-end CLI smokes (registry, telemetry,
+# reporters, trace export, blame, campaigns and their resume, chaos and
+# hostile-store gates), then the same tests under
 # ASan+UBSan so the calendar's slot reuse and the threaded bench
 # SweepRunner stay sanitizer-clean, then ThreadSanitizer over the
 # concurrency-bearing suites.
@@ -27,50 +27,26 @@ python3 perfbench/test_perfbench.py
 # verify even though no unit test names that scenario. One answer per
 # (spec, seed): --no-prefix is accepted and ignored, so the registry prints
 # the same bytes with and without it.
-cachedir="$(mktemp -d)"
-trap 'rm -rf "${cachedir}"' EXIT
+tmpdir="$(mktemp -d)"
+trap 'rm -rf "${tmpdir}"' EXIT
 ./build/tools/shieldctl run --all --smoke --jobs "${jobs}" --json \
-  > "${cachedir}/all-default.out"
+  > "${tmpdir}/all-default.out"
 ./build/tools/shieldctl run --all --smoke --jobs "${jobs}" --json --no-prefix \
-  > "${cachedir}/all-no-prefix.out"
-cmp "${cachedir}/all-default.out" "${cachedir}/all-no-prefix.out"
-
-# Hardened-execution smoke: populate a disk cache, corrupt a few real
-# entries the way a crashed writer or bit rot would, then re-run. The
-# runner must quarantine the corrupt files, recompute them, still exit 0,
-# and account for the repairs in the degraded-run report.
-./build/tools/shieldctl run --all --smoke --jobs "${jobs}" \
-  --cache-dir "${cachedir}" > /dev/null
-corrupted=0
-for f in "${cachedir}"/*.json; do
-  if [ "${corrupted}" -lt 3 ]; then
-    printf '{"format":"shieldsim-cache-v1","checksum":"tru' > "${f}"
-    corrupted=$((corrupted + 1))
-  fi
-done
-./build/tools/shieldctl run --all --smoke --jobs "${jobs}" \
-  --cache-dir "${cachedir}" --report "${cachedir}/report.json" > /dev/null
-python3 - "${cachedir}/report.json" "${corrupted}" <<'EOF'
-import json, sys
-report = json.load(open(sys.argv[1]))
-assert report["schema"] == "degraded-run-report-v1", report
-assert report["failed"] == 0 and report["timed_out"] == 0, report
-assert report["ok"] == report["total"] > 0, report
-assert report["cache_entries_recomputed"] >= int(sys.argv[2]), report
-EOF
+  > "${tmpdir}/all-no-prefix.out"
+cmp "${tmpdir}/all-default.out" "${tmpdir}/all-no-prefix.out"
 
 # Telemetry smoke: a fault scenario with the sampler forced on must yield a
 # Prometheus exposition that parses line-by-line and a timeline with points,
 # and a forced watchdog timeout must leave a flight-recorder dump in the
 # degraded-run report.
 ./build/tools/shieldctl stat faults-storm-shielded --smoke --prom \
-  > "${cachedir}/telemetry.prom"
+  > "${tmpdir}/telemetry.prom"
 ./build/tools/shieldctl stat faults-storm-shielded --smoke \
-  > "${cachedir}/telemetry.json"
+  > "${tmpdir}/telemetry.json"
 ./build/tools/shieldctl run faults-storm-shielded --smoke --max-events 20000 \
-  --report "${cachedir}/timeout-report.json" > /dev/null 2>&1 && {
+  --report "${tmpdir}/timeout-report.json" > /dev/null 2>&1 && {
     echo "verify: watchdogged run unexpectedly exited 0"; exit 1; } || true
-python3 - "${cachedir}" <<'EOF'
+python3 - "${tmpdir}" <<'EOF'
 import json, os, sys
 d = sys.argv[1]
 lines = [l for l in open(os.path.join(d, "telemetry.prom"))
@@ -85,6 +61,7 @@ assert doc["schema"] == "telemetry-v1", doc.get("schema")
 assert doc["timeline"]["points"], "sampler produced no points"
 assert any(doc["counters"].values()), "all counters zero"
 report = json.load(open(os.path.join(d, "timeout-report.json")))
+assert report["schema"] == "degraded-run-report-v2", report
 assert report["timed_out"] == 1, report
 dump = report["outcomes"][0]["flight_recording"]
 assert dump["schema"] == "flight-recorder-v1", dump
@@ -96,13 +73,13 @@ EOF
 # completes and the second hits the watchdog. The timed-out outcome must
 # carry its own flight recording.
 ./build/tools/shieldctl run abl-shield-full faults-storm-shielded --smoke \
-  --max-events 100000 --report "${cachedir}/fork-timeout-report.json" \
+  --max-events 100000 --report "${tmpdir}/fork-timeout-report.json" \
   > /dev/null 2>&1 && {
     echo "verify: watchdogged batch unexpectedly exited 0"; exit 1; } || true
-python3 - "${cachedir}/fork-timeout-report.json" <<'EOF'
+python3 - "${tmpdir}/fork-timeout-report.json" <<'EOF'
 import json, sys
 report = json.load(open(sys.argv[1]))
-assert report["schema"] == "degraded-run-report-v1", report
+assert report["schema"] == "degraded-run-report-v2", report
 assert report["timed_out"] == 1 and report["ok"] == 1, report
 by_name = {o["name"]: o for o in report["outcomes"]}
 assert by_name["abl-shield-full"]["status"] == "ok", by_name
@@ -136,9 +113,9 @@ for r in results:
     assert worst < 10_000, (r["spec"]["name"], worst)
 EOF
 }
-oob_faults ./build/tools/shieldctl "${cachedir}/oob-report.json"
+oob_faults ./build/tools/shieldctl "${tmpdir}/oob-report.json"
 
-python3 tools/report.py telemetry "${cachedir}/telemetry.json" > /dev/null
+python3 tools/report.py telemetry "${tmpdir}/telemetry.json" > /dev/null
 
 # Reporter failure-path goldens: every subcommand of tools/report.py must
 # reject empty input, corrupt JSON and valid JSON of the wrong shape with a
@@ -146,36 +123,36 @@ python3 tools/report.py telemetry "${cachedir}/telemetry.json" > /dev/null
 # validator, and the telemetry differ must refuse to compare across schema
 # versions while labelling series present in only one report as
 # added/removed.
-: > "${cachedir}/empty.json"
-printf '{"truncated' > "${cachedir}/corrupt.json"
+: > "${tmpdir}/empty.json"
+printf '{"truncated' > "${tmpdir}/corrupt.json"
 printf '{"schema":"telemetry-v1","counters":{},"timeline":%s}' \
-  '{"series":["a"],"points":[{"d":[[0]]}]}' > "${cachedir}/shape-telemetry.json"
+  '{"series":["a"],"points":[{"d":[[0]]}]}' > "${tmpdir}/shape-telemetry.json"
 printf '{"schema":"attribution-v1","bands":[{"band":"x","causes":{"a":5}}]}' \
-  > "${cachedir}/shape-blame.json"
-printf '{"traceEvents":[],"otherData":[1]}' > "${cachedir}/shape-trace.json"
+  > "${tmpdir}/shape-blame.json"
+printf '{"traceEvents":[],"otherData":[1]}' > "${tmpdir}/shape-trace.json"
 rejects() {  # rejects PATTERN COMMAND...: exit 1 with PATTERN, no traceback
   local pattern="$1" rc=0; shift
-  "$@" > /dev/null 2> "${cachedir}/reporter-err.txt" || rc=$?
-  if [ "${rc}" -ne 1 ] || grep -q "Traceback" "${cachedir}/reporter-err.txt" ||
-      ! grep -q "${pattern}" "${cachedir}/reporter-err.txt"; then
+  "$@" > /dev/null 2> "${tmpdir}/reporter-err.txt" || rc=$?
+  if [ "${rc}" -ne 1 ] || grep -q "Traceback" "${tmpdir}/reporter-err.txt" ||
+      ! grep -q "${pattern}" "${tmpdir}/reporter-err.txt"; then
     echo "verify: exit ${rc}, want 1 with '${pattern}': $*"
-    cat "${cachedir}/reporter-err.txt"; exit 1
+    cat "${tmpdir}/reporter-err.txt"; exit 1
   fi
 }
 for sub in telemetry blame; do
-  rejects "empty" python3 tools/report.py "${sub}" "${cachedir}/empty.json"
+  rejects "empty" python3 tools/report.py "${sub}" "${tmpdir}/empty.json"
   rejects "not valid JSON" python3 tools/report.py "${sub}" \
-    "${cachedir}/corrupt.json"
+    "${tmpdir}/corrupt.json"
   rejects "malformed" python3 tools/report.py "${sub}" \
-    "${cachedir}/shape-${sub}.json"
+    "${tmpdir}/shape-${sub}.json"
 done
 rejects "malformed" python3 tools/trace_validate.py \
-  "${cachedir}/shape-trace.json"
+  "${tmpdir}/shape-trace.json"
 printf '{"schema":"telemetry-v2","counters":{"a":1}}' \
-  > "${cachedir}/telemetry-v2.json"
+  > "${tmpdir}/telemetry-v2.json"
 rejects "schema mismatch" python3 tools/report.py telemetry --diff \
-  "${cachedir}/telemetry.json" "${cachedir}/telemetry-v2.json"
-python3 - "${cachedir}" <<'EOF'
+  "${tmpdir}/telemetry.json" "${tmpdir}/telemetry-v2.json"
+python3 - "${tmpdir}" <<'EOF'
 import json, os, subprocess, sys
 d = sys.argv[1]
 a = {"schema": "telemetry-v1", "counters": {"shared": 1, "only_a": 5}}
@@ -196,13 +173,13 @@ EOF
 # per-track spans with an exact-nanosecond args mirror), and the oob runs
 # must show their out-of-band stage on the timeline.
 ./build/tools/shieldctl trace fig6 --smoke \
-  --out "${cachedir}/trace-fig6.json" 2> /dev/null
-python3 tools/trace_validate.py "${cachedir}/trace-fig6.json"
+  --out "${tmpdir}/trace-fig6.json" 2> /dev/null
+python3 tools/trace_validate.py "${tmpdir}/trace-fig6.json"
 for spec in mech-rtc-oob mech-rcim-oob mech-cyclic-oob mech-storm-oob \
     mech-smi-oob; do
   ./build/tools/shieldctl trace "${spec}" --smoke \
-    --out "${cachedir}/trace-${spec}.json" 2> /dev/null
-  python3 tools/trace_validate.py "${cachedir}/trace-${spec}.json" --expect-oob
+    --out "${tmpdir}/trace-${spec}.json" 2> /dev/null
+  python3 tools/trace_validate.py "${tmpdir}/trace-${spec}.json" --expect-oob
 done
 
 # stat, trace and blame each take only their own options: one meant for
@@ -214,20 +191,20 @@ rejects_option() {  # rejects_option ARGS...: shieldctl ARGS exits 2
     echo "verify: shieldctl $* exited ${rc}, want 2"; exit 1
   fi
 }
-rejects_option blame fig2 --smoke --out "${cachedir}/x.json"
+rejects_option blame fig2 --smoke --out "${tmpdir}/x.json"
 rejects_option trace fig2 --smoke --worst 1 --threshold 5 \
-  --out "${cachedir}/t.json"
-rejects_option stat fig2 --smoke --out "${cachedir}/y.json"
-test ! -e "${cachedir}/x.json" && test ! -e "${cachedir}/t.json" &&
-  test ! -e "${cachedir}/y.json"
+  --out "${tmpdir}/t.json"
+rejects_option stat fig2 --smoke --out "${tmpdir}/y.json"
+test ! -e "${tmpdir}/x.json" && test ! -e "${tmpdir}/t.json" &&
+  test ! -e "${tmpdir}/y.json"
 
 # Blame: the storm scenario's attribution document must fully partition
 # every worst sample (cause nanoseconds sum exactly to the sample total)
 # and its bands must account for every attributed sample; the renderer must
 # accept the document blame prints.
 ./build/tools/shieldctl blame faults-storm-unshielded --smoke \
-  > "${cachedir}/blame.json"
-python3 - "${cachedir}/blame.json" <<'EOF'
+  > "${tmpdir}/blame.json"
+python3 - "${tmpdir}/blame.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["schema"] == "attribution-v1", doc.get("schema")
@@ -238,15 +215,15 @@ for sample in doc["worst"]:
         sample["origin"], accounted, sample["total_ns"])
 assert sum(b["samples"] for b in doc["bands"]) == doc["samples_attributed"]
 EOF
-python3 tools/report.py blame "${cachedir}/blame.json" > /dev/null
+python3 tools/report.py blame "${tmpdir}/blame.json" > /dev/null
 
 # Blame explains the reported run: blame runs at the seed `run` gives the
 # spec, so its attribution covers exactly the samples that `run` banks, and
 # its worst sample is that run's worst wake latency (realfeel's secondary
 # view: device raise to the reader's return).
-./build/tools/shieldctl blame fig6 --smoke > "${cachedir}/blame-fig6.json"
-./build/tools/shieldctl run fig6 --smoke --json > "${cachedir}/run-fig6.json"
-python3 - "${cachedir}/blame-fig6.json" "${cachedir}/run-fig6.json" <<'EOF'
+./build/tools/shieldctl blame fig6 --smoke > "${tmpdir}/blame-fig6.json"
+./build/tools/shieldctl run fig6 --smoke --json > "${tmpdir}/run-fig6.json"
+python3 - "${tmpdir}/blame-fig6.json" "${tmpdir}/run-fig6.json" <<'EOF'
 import json, sys
 blame = json.load(open(sys.argv[1]))
 probe = json.load(open(sys.argv[2]))[0]["result"]["probe"]
@@ -261,10 +238,10 @@ EOF
 # to *successful* outcomes, in both full-ring and worst-sample-window
 # trigger modes.
 ./build/tools/shieldctl run fig6 --smoke --flight-dump full \
-  --report "${cachedir}/fdump-full.json" > /dev/null
+  --report "${tmpdir}/fdump-full.json" > /dev/null
 ./build/tools/shieldctl run fig6 --smoke --flight-dump worst \
-  --report "${cachedir}/fdump-worst.json" > /dev/null
-python3 - "${cachedir}" <<'EOF'
+  --report "${tmpdir}/fdump-worst.json" > /dev/null
+python3 - "${tmpdir}" <<'EOF'
 import json, os, sys
 d = sys.argv[1]
 for mode in ("full", "worst"):
@@ -281,8 +258,8 @@ EOF
 # must write merged.json with an attribution-rollup-v1 whose per-cause and
 # per-band totals equal the sum of the per-scenario documents.
 ./build/tools/shieldctl describe faults-storm-unshielded \
-  > "${cachedir}/storm-spec.txt"
-python3 - "${cachedir}" <<'EOF'
+  > "${tmpdir}/storm-spec.txt"
+python3 - "${tmpdir}" <<'EOF'
 import json, os, sys
 d = sys.argv[1]
 text = open(os.path.join(d, "storm-spec.txt")).read()
@@ -294,11 +271,11 @@ spec["name"] = "verify-blame-b"
 spec["telemetry"]["blame_worst"] = 4
 json.dump(spec, open(os.path.join(d, "blame-spec-b.json"), "w"))
 EOF
-rm -rf "${cachedir}/camp-blame"
-./build/tools/shieldctl run --spec-json "${cachedir}/blame-spec-a.json" \
-  --spec-json "${cachedir}/blame-spec-b.json" --smoke \
-  --journal "${cachedir}/camp-blame" > /dev/null
-python3 - "${cachedir}/camp-blame/merged.json" <<'EOF'
+rm -rf "${tmpdir}/camp-blame"
+./build/tools/shieldctl run --spec-json "${tmpdir}/blame-spec-a.json" \
+  --spec-json "${tmpdir}/blame-spec-b.json" --smoke \
+  --journal "${tmpdir}/camp-blame" > /dev/null
+python3 - "${tmpdir}/camp-blame/merged.json" <<'EOF'
 import json, sys
 merged = json.load(open(sys.argv[1]))
 roll = merged["attribution"]
@@ -311,23 +288,23 @@ for key, total in roll["causes"].items():
     assert total["ns"] == ns and total["count"] == count, key
 assert roll["samples_seen"] == sum(p["samples_seen"] for p in per), roll
 EOF
-python3 tools/report.py blame "${cachedir}/camp-blame/merged.json" > /dev/null
+python3 tools/report.py blame "${tmpdir}/camp-blame/merged.json" > /dev/null
 
 # ...and the rollup is derived purely from outcomes, so a SIGKILLed and
 # resumed blame campaign merges byte-identically to the uninterrupted one.
-rm -rf "${cachedir}/camp-blame-kill"
-./build/tools/shieldctl run --spec-json "${cachedir}/blame-spec-a.json" \
-  --spec-json "${cachedir}/blame-spec-b.json" --smoke \
-  --journal "${cachedir}/camp-blame-kill" > /dev/null 2>&1 &
+rm -rf "${tmpdir}/camp-blame-kill"
+./build/tools/shieldctl run --spec-json "${tmpdir}/blame-spec-a.json" \
+  --spec-json "${tmpdir}/blame-spec-b.json" --smoke \
+  --journal "${tmpdir}/camp-blame-kill" > /dev/null 2>&1 &
 blame_campaign_pid=$!
 sleep 0.1
 kill -9 "${blame_campaign_pid}" 2>/dev/null || true
 wait "${blame_campaign_pid}" 2>/dev/null || true
-./build/tools/shieldctl run --spec-json "${cachedir}/blame-spec-a.json" \
-  --spec-json "${cachedir}/blame-spec-b.json" --smoke \
-  --journal "${cachedir}/camp-blame-kill" > /dev/null
-cmp "${cachedir}/camp-blame-kill/merged.json" \
-  "${cachedir}/camp-blame/merged.json"
+./build/tools/shieldctl run --spec-json "${tmpdir}/blame-spec-a.json" \
+  --spec-json "${tmpdir}/blame-spec-b.json" --smoke \
+  --journal "${tmpdir}/camp-blame-kill" > /dev/null
+cmp "${tmpdir}/camp-blame-kill/merged.json" \
+  "${tmpdir}/camp-blame/merged.json"
 
 cmake --preset asan
 cmake --build --preset asan -j "${jobs}"
@@ -336,7 +313,7 @@ ctest --preset asan
 # The oob faults family again under ASan+UBSan: the stage's context
 # interpreter, captured-timer rearming and stall charging all run off the
 # kernel's usual paths, so they get their own sanitizer pass.
-oob_faults ./build-asan/tools/shieldctl "${cachedir}/oob-asan-report.json"
+oob_faults ./build-asan/tools/shieldctl "${tmpdir}/oob-asan-report.json"
 
 # Snapshot bit-identity, explicitly, in the hardened build: every builtin
 # spec must survive a mid-run capture/restore byte-identically (probe output,
@@ -354,7 +331,7 @@ oob_faults ./build-asan/tools/shieldctl "${cachedir}/oob-asan-report.json"
 # zero non-ok outcomes. An under-collecting spec (fixed horizon far below
 # the probe's sample budget) must be classified incomplete and fail the
 # run, with the count in the report.
-python3 - > "${cachedir}/incomplete-spec.json" <<'EOF'
+python3 - > "${tmpdir}/incomplete-spec.json" <<'EOF'
 import json
 spec = {
     "name": "verify-incomplete",
@@ -371,11 +348,11 @@ spec = {
 }
 print(json.dumps(spec))
 EOF
-if ./build/tools/shieldctl run --spec-json "${cachedir}/incomplete-spec.json" \
-    --report "${cachedir}/incomplete-report.json" > /dev/null 2>&1; then
+if ./build/tools/shieldctl run --spec-json "${tmpdir}/incomplete-spec.json" \
+    --report "${tmpdir}/incomplete-report.json" > /dev/null 2>&1; then
   echo "verify: incomplete run unexpectedly exited 0"; exit 1
 fi
-python3 - "${cachedir}/incomplete-report.json" <<'EOF'
+python3 - "${tmpdir}/incomplete-report.json" <<'EOF'
 import json, sys
 report = json.load(open(sys.argv[1]))
 assert report["incomplete"] == 1, report
@@ -388,65 +365,75 @@ EOF
 # another mode must refuse (exit 2) and leave the journal exactly as it was.
 mixed_resume() {  # mixed_resume DIR ARGS...: resume DIR with ARGS added
   local dir="$1" rc=0; shift
-  rm -rf "${cachedir}/mixed-before"
-  cp -r "${dir}" "${cachedir}/mixed-before"
+  rm -rf "${tmpdir}/mixed-before"
+  cp -r "${dir}" "${tmpdir}/mixed-before"
   ./build/tools/shieldctl run fig2 fig3 --smoke --journal "${dir}" "$@" \
-    > /dev/null 2>&1 || rc=$?
+    > /dev/null 2> "${tmpdir}/mixed-err.txt" || rc=$?
   if [ "${rc}" -ne 2 ]; then
     echo "verify: mixed resume of ${dir} with '$*' exited ${rc}, want 2"
     exit 1
   fi
-  diff -r "${dir}" "${cachedir}/mixed-before"
+  diff -r "${dir}" "${tmpdir}/mixed-before"
 }
-rm -rf "${cachedir}/camp-plain" "${cachedir}/camp-resumed" \
-  "${cachedir}/camp-dump"
+rm -rf "${tmpdir}/camp-plain" "${tmpdir}/camp-resumed" \
+  "${tmpdir}/camp-dump"
 ./build/tools/shieldctl run fig2 fig3 --smoke \
-  --journal "${cachedir}/camp-plain" > /dev/null
-cp -r "${cachedir}/camp-plain" "${cachedir}/camp-resumed"
-last_done="$(grep -n '"event":"done"' "${cachedir}/camp-resumed/journal.jsonl" |
+  --journal "${tmpdir}/camp-plain" > /dev/null
+cp -r "${tmpdir}/camp-plain" "${tmpdir}/camp-resumed"
+last_done="$(grep -n '"event":"done"' "${tmpdir}/camp-resumed/journal.jsonl" |
   tail -1 | cut -d: -f1)"
-sed -i "${last_done}d" "${cachedir}/camp-resumed/journal.jsonl"
+sed -i "${last_done}d" "${tmpdir}/camp-resumed/journal.jsonl"
 ./build/tools/shieldctl run fig2 fig3 --smoke --no-prefix \
-  --journal "${cachedir}/camp-resumed" > /dev/null
-cmp "${cachedir}/camp-resumed/merged.json" "${cachedir}/camp-plain/merged.json"
+  --journal "${tmpdir}/camp-resumed" > /dev/null
+cmp "${tmpdir}/camp-resumed/merged.json" "${tmpdir}/camp-plain/merged.json"
 ./build/tools/shieldctl run fig2 fig3 --smoke --flight-dump full \
-  --journal "${cachedir}/camp-dump" > /dev/null
-mixed_resume "${cachedir}/camp-dump"
+  --journal "${tmpdir}/camp-dump" > /dev/null
+mixed_resume "${tmpdir}/camp-dump"
 
 # ...and a journal whose campaign record is gone cannot say which kind of
 # campaign its done records came from, so a resume must refuse it too.
-rm -rf "${cachedir}/camp-headless"
+rm -rf "${tmpdir}/camp-headless"
 ./build/tools/shieldctl run fig2 fig3 --smoke --no-prefix \
-  --journal "${cachedir}/camp-headless" > /dev/null
-sed -i 1d "${cachedir}/camp-headless/journal.jsonl"
-mixed_resume "${cachedir}/camp-headless"
+  --journal "${tmpdir}/camp-headless" > /dev/null
+sed -i 1d "${tmpdir}/camp-headless/journal.jsonl"
+mixed_resume "${tmpdir}/camp-headless"
+
+# ...and so must a journal sealed under the older campaign-journal-v1
+# format (the checksum covers the record, not the format tag), naming that
+# format rather than blaming torn writes, so one file never mixes formats.
+rm -rf "${tmpdir}/camp-v1"
+cp -r "${tmpdir}/camp-plain" "${tmpdir}/camp-v1"
+sed -i 's/"format":"campaign-journal-v2"/"format":"campaign-journal-v1"/' \
+  "${tmpdir}/camp-v1/journal.jsonl"
+mixed_resume "${tmpdir}/camp-v1"
+grep -q "campaign-journal-v1" "${tmpdir}/mixed-err.txt"
 
 # Write-ahead journal, resumability and the chaos gate. Baseline: one
 # uninterrupted supervised campaign over the whole registry.
-rm -rf "${cachedir}/camp-base" "${cachedir}/camp-kill" "${cachedir}/camp-wkill"
+rm -rf "${tmpdir}/camp-base" "${tmpdir}/camp-kill" "${tmpdir}/camp-wkill"
 ./build/tools/shieldctl run --all --smoke --workers 2 \
-  --journal "${cachedir}/camp-base" > /dev/null
-test -s "${cachedir}/camp-base/merged.json"
+  --journal "${tmpdir}/camp-base" > /dev/null
+test -s "${tmpdir}/camp-base/merged.json"
 
 # Chaos 1: SIGKILL the supervisor itself mid-campaign, then resume. The
 # journal must survive the ungraceful death (torn tail line at worst) and
 # the resumed campaign's merged output must be byte-identical to the
 # uninterrupted baseline's.
 ./build/tools/shieldctl run --all --smoke --workers 2 \
-  --journal "${cachedir}/camp-kill" > /dev/null 2>&1 &
+  --journal "${tmpdir}/camp-kill" > /dev/null 2>&1 &
 campaign_pid=$!
 sleep 0.3
 kill -9 "${campaign_pid}" 2>/dev/null || true
 wait "${campaign_pid}" 2>/dev/null || true
 ./build/tools/shieldctl run --all --smoke --workers 2 \
-  --journal "${cachedir}/camp-kill" > /dev/null
-cmp "${cachedir}/camp-kill/merged.json" "${cachedir}/camp-base/merged.json"
+  --journal "${tmpdir}/camp-kill" > /dev/null
+cmp "${tmpdir}/camp-kill/merged.json" "${tmpdir}/camp-base/merged.json"
 
 # Chaos 2: SIGKILL a *worker* mid-campaign while the supervisor lives. The
 # supervisor must detect the death, respawn, re-queue the in-flight spec
 # and finish with exit 0 — and the merged output is again byte-identical.
 ./build/tools/shieldctl run --all --smoke --workers 2 \
-  --journal "${cachedir}/camp-wkill" > /dev/null 2>&1 &
+  --journal "${tmpdir}/camp-wkill" > /dev/null 2>&1 &
 campaign_pid=$!
 for _ in 1 2 3 4 5; do
   worker_pid="$(ps -o pid= --ppid "${campaign_pid}" 2>/dev/null | head -1 | tr -d ' ')"
@@ -455,15 +442,15 @@ for _ in 1 2 3 4 5; do
 done
 [ -n "${worker_pid:-}" ] && kill -9 "${worker_pid}" 2>/dev/null || true
 wait "${campaign_pid}"
-cmp "${cachedir}/camp-wkill/merged.json" "${cachedir}/camp-base/merged.json"
+cmp "${tmpdir}/camp-wkill/merged.json" "${tmpdir}/camp-base/merged.json"
 
 # Chaos 3: a spec whose worker deliberately crashes (tests/data fixture).
 # With respawns allowed the campaign completes ok and the report attributes
 # the crash; with respawns forbidden the spec is quarantined as crashed,
 # with signal-level taxonomy, and the run exits nonzero.
 ./build/tools/shieldctl run --spec-json tests/data/chaos_host_crash.json \
-  --workers 2 --report "${cachedir}/chaos-ok-report.json" > /dev/null 2>&1
-python3 - "${cachedir}/chaos-ok-report.json" <<'EOF'
+  --workers 2 --report "${tmpdir}/chaos-ok-report.json" > /dev/null 2>&1
+python3 - "${tmpdir}/chaos-ok-report.json" <<'EOF'
 import json, sys
 report = json.load(open(sys.argv[1]))
 assert report["ok"] == report["total"] == 1, report
@@ -473,10 +460,10 @@ assert any(i.get("type") == "host-fault" for i in sup["incidents"]), sup
 EOF
 if ./build/tools/shieldctl run --spec-json tests/data/chaos_host_crash.json \
     --workers 1 --max-respawns 0 \
-    --report "${cachedir}/chaos-quarantine-report.json" > /dev/null 2>&1; then
+    --report "${tmpdir}/chaos-quarantine-report.json" > /dev/null 2>&1; then
   echo "verify: quarantined campaign unexpectedly exited 0"; exit 1
 fi
-python3 - "${cachedir}/chaos-quarantine-report.json" <<'EOF'
+python3 - "${tmpdir}/chaos-quarantine-report.json" <<'EOF'
 import json, sys
 report = json.load(open(sys.argv[1]))
 assert report["crashed"] == 1, report
@@ -487,22 +474,19 @@ assert out["execution"]["signal"] == 11, out
 assert out["execution"]["host_fault"] == "host-crash", out
 EOF
 
-# Hostile stores: both on-disk stores must survive records that pass their
-# checksum yet are missing required fields. Finish a journaled campaign that
-# also populates a disk cache, then drop fig7's done record (so the rerun
-# re-runs fig7 through the cache), append a sealed journal record with no
-# name/digest/seed/outcome, and re-seal fig7's cache entry around a
-# histogram summary that claims one sample but carries none of its moments.
-# The rerun must exit 0, report the corrupt journal line, quarantine and
-# recompute the cache entry, and merge byte-identically.
-rm -rf "${cachedir}/camp-hostile" "${cachedir}/cache-hostile"
+# Hostile store: the journal must survive records that pass their checksum
+# yet cannot be applied. Finish a journaled campaign, then drop fig7's done
+# record, append a sealed record with no name/digest/seed/outcome, and
+# re-append fig7's done record sealed around a histogram summary that
+# claims one sample but carries none of its moments. The rerun must exit 0,
+# report both corrupt lines, recompute fig7 alone and merge byte-identically.
+rm -rf "${tmpdir}/camp-hostile"
 ./build/tools/shieldctl run --all --smoke --jobs "${jobs}" \
-  --journal "${cachedir}/camp-hostile" --cache-dir "${cachedir}/cache-hostile" \
-  > /dev/null
-cp "${cachedir}/camp-hostile/merged.json" "${cachedir}/hostile-baseline.json"
-python3 - "${cachedir}/camp-hostile" "${cachedir}/cache-hostile" <<'EOF'
+  --journal "${tmpdir}/camp-hostile" > /dev/null
+cp "${tmpdir}/camp-hostile/merged.json" "${tmpdir}/hostile-baseline.json"
+python3 - "${tmpdir}/camp-hostile" <<'EOF'
 import json, os, sys
-journal_dir, cache_dir = sys.argv[1], sys.argv[2]
+journal_dir = sys.argv[1]
 
 class Raw(str):
     """A number token kept verbatim, so re-sealing matches the C++ writer."""
@@ -540,26 +524,22 @@ for line in open(path).read().splitlines():
     kept.append(line)
 assert victim is not None, "fig7 never finished"
 kept.append(compact(seal("campaign-journal-v2", "record", {"event": "start"})))
+victim["outcome"]["result"]["probe"]["primary"]["summary"] = {"n": Raw("1")}
+kept.append(compact(seal("campaign-journal-v2", "record", victim)))
 open(path, "w").write("\n".join(kept) + "\n")
-
-entry = os.path.join(cache_dir, "%s-%s-0.01-es1.json"
-                     % (victim["digest"], victim["seed"]))
-result = load(open(entry).read())["result"]
-result["probe"]["primary"]["summary"] = {"n": Raw("1")}
-open(entry, "w").write(compact(seal("shieldsim-cache-v1", "result", result)))
 EOF
 ./build/tools/shieldctl run --all --smoke --jobs "${jobs}" \
-  --journal "${cachedir}/camp-hostile" --cache-dir "${cachedir}/cache-hostile" \
-  --report "${cachedir}/hostile-report.json" \
-  > /dev/null 2> "${cachedir}/hostile-err.txt"
-grep -q "skipped 1 corrupt line" "${cachedir}/hostile-err.txt"
-python3 - "${cachedir}/hostile-report.json" <<'EOF'
+  --journal "${tmpdir}/camp-hostile" \
+  --report "${tmpdir}/hostile-report.json" \
+  > "${tmpdir}/hostile-out.txt" 2> "${tmpdir}/hostile-err.txt"
+grep -q "skipped 2 corrupt lines" "${tmpdir}/hostile-err.txt"
+grep -q ", 1 to run" "${tmpdir}/hostile-out.txt"
+python3 - "${tmpdir}/hostile-report.json" <<'EOF'
 import json, sys
 report = json.load(open(sys.argv[1]))
 assert report["ok"] == report["total"] > 0, report
-assert report["cache_entries_recomputed"] == 1, report
 EOF
-cmp "${cachedir}/camp-hostile/merged.json" "${cachedir}/hostile-baseline.json"
+cmp "${tmpdir}/camp-hostile/merged.json" "${tmpdir}/hostile-baseline.json"
 
 # ThreadSanitizer pass over the concurrency-bearing layers: the parallel
 # runner/sweeper, the journal's locked writers and the supervisor (which
