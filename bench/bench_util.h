@@ -1,13 +1,14 @@
 // Shared helpers for the figure-reproduction benches.
 #pragma once
 
+#include <climits>
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
-#include "config/sweep_runner.h"
+#include "config/option_value.h"
 #include "sim/time.h"
 
 namespace bench {
@@ -19,7 +20,8 @@ struct Options {
   std::uint64_t seed = 2003;
   double scale = 1.0;  ///< multiplies sample counts / durations
   bool paper = false;
-  /// Worker threads for config sweeps (0 = all hardware threads).
+  /// Lanes for the bench's batch (0 = all hardware threads): 1 runs it in
+  /// this process, 2 or more on that many worker processes.
   unsigned jobs = 0;
 
   static void usage(const char* argv0, std::FILE* to) {
@@ -31,41 +33,48 @@ struct Options {
         " seed\n"
         "                    derives from it by name, as in shieldctl)\n"
         "  --scale X         multiply sample counts by X\n"
-        "  --jobs N          sweep worker threads (default: all cores)\n",
+        "  --jobs N          lanes (default: all cores): 1 runs in-process,\n"
+        "                    2 or more on that many worker processes\n",
         argv0);
   }
 
-  /// Parse the shared flags. Unknown arguments are an error: a typo like
-  /// `--sedd 7` must not silently run the default configuration.
+  /// Parse the shared flags. Unknown arguments and numeric values that are
+  /// not wholly a number of the right kind are an error: a typo like
+  /// `--sedd 7` or `--seed 7x` must not silently run another configuration.
   static Options parse(int argc, char** argv) {
     Options o;
-    const auto need_value = [&](int i) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: missing value for %s\n", argv[0], argv[i]);
-        usage(argv[0], stderr);
-        std::exit(2);
-      }
+    const auto fail = [&](const std::string& what) {
+      std::fprintf(stderr, "%s: %s\n", argv[0], what.c_str());
+      usage(argv[0], stderr);
+      std::exit(2);
     };
     for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--paper") == 0) {
+      const std::string arg = argv[i];
+      const bool numeric =
+          arg == "--seed" || arg == "--scale" || arg == "--jobs";
+      if (numeric && i + 1 >= argc) fail("missing value for " + arg);
+      const std::string text = numeric ? argv[++i] : "";
+      const auto count =
+          config::parse_count(text, arg == "--jobs" ? UINT_MAX : UINT64_MAX);
+      const auto real = config::parse_real(text, true);
+      if (arg == "--paper") {
         o.paper = true;
         o.scale = 10.0;
-      } else if (std::strcmp(argv[i], "--seed") == 0) {
-        need_value(i);
-        o.seed = std::strtoull(argv[++i], nullptr, 10);
-      } else if (std::strcmp(argv[i], "--scale") == 0) {
-        need_value(i);
-        o.scale = std::strtod(argv[++i], nullptr);
-      } else if (std::strcmp(argv[i], "--jobs") == 0) {
-        need_value(i);
-        o.jobs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-      } else if (std::strcmp(argv[i], "--help") == 0) {
+      } else if (arg == "--seed" && count) {
+        o.seed = *count;
+      } else if (arg == "--scale" && real) {
+        o.scale = *real;
+      } else if (arg == "--jobs" && count) {
+        o.jobs = static_cast<unsigned>(*count);
+      } else if (arg == "--help") {
         usage(argv[0], stdout);
         std::exit(0);
+      } else if (numeric) {
+        fail(arg + " expects " +
+             (arg == "--scale" ? "a positive number" : "an unsigned integer") +
+             ", got '" + text + "'");
       } else {
-        std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], argv[i]);
-        usage(argv[0], stderr);
-        std::exit(2);
+        fail("unknown argument '" + arg + "'");
       }
     }
     return o;

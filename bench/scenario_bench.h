@@ -1,10 +1,10 @@
 // Shared shell for the registry-backed benches.
 //
 // Since the ScenarioSpec refactor a bench binary owns no wiring: it looks
-// its scenarios up in config::ScenarioRegistry, fans them out through one
-// config::ScenarioRunner (--jobs controls the worker count) and formats
-// the returned ScenarioResults. Everything that used to be a hand-built
-// Platform in these files now lives in src/config/experiment.cpp as data.
+// its scenarios up in config::ScenarioRegistry, runs them as one batch of
+// a config::ScenarioRunner (--jobs sets its lanes) and formats the returned
+// ScenarioResults. Everything that used to be a hand-built Platform in these
+// files now lives in src/config/experiment.cpp as data.
 #pragma once
 
 #include <cstdio>

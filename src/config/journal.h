@@ -10,7 +10,7 @@
 //               flight-dump mode when one is on. Written once when the
 //               journal is created; replays refuse to adopt results across
 //               a change of any of them.
-//   start     — a spec was handed to an executor (in-flight marker).
+//   start     — the batch scheduler dispatched a spec (in-flight marker).
 //   done      — a spec reached a terminal outcome; carries the outcome's
 //               full wire form (RunOutcome::to_full_json), which is a pure
 //               function of (spec, seed) — never wall-clock state.
@@ -27,7 +27,6 @@
 
 #include <cstdio>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -55,10 +54,9 @@ class CampaignJournal {
   CampaignJournal& operator=(const CampaignJournal&) = delete;
 
   [[nodiscard]] const std::string& dir() const { return dir_; }
-  [[nodiscard]] const std::string& path() const { return path_; }
 
-  /// All writers are thread-safe (batch observers fire from worker threads)
-  /// and flush before returning.
+  /// Every writer flushes before returning. The batch scheduler is the one
+  /// writer of start, done and incident records (config::Supervisor::run).
   ///
   /// `flight_dump`: the runs' flight-dump mode ("full"/"worst"; empty when
   /// off). A dump-mode run's done record carries its ring, so a resume must
@@ -137,9 +135,7 @@ class CampaignJournal {
   void write_record(json::Value record);
 
   std::string dir_;
-  std::string path_;
   std::FILE* file_ = nullptr;
-  std::mutex mu_;
 };
 
 }  // namespace config

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "config/supervisor.h"
 #include "config/telemetry_export.h"
 #include "fault/injector.h"
 #include "metrics/report.h"
@@ -777,53 +778,66 @@ RunOutcome ScenarioRunner::run_outcome(const ScenarioSpec& spec,
       out.error = e.what();
     }
     // Reseed deterministically off the original seed, not the failed one,
-    // so retry N of a spec is the same run no matter how earlier attempts
-    // interleaved across worker threads. The retry domain keeps these
-    // streams disjoint from batch names (a spec literally named "retry#1"
-    // must not share a stream with anyone's first retry).
+    // so retry N of a spec is the same run whichever lane ran the earlier
+    // attempts. The retry domain keeps these streams disjoint from batch
+    // names (a spec literally named "retry#1" must not share a stream with
+    // anyone's first retry).
     attempt_seed = sim::derive_seed(seed, sim::SeedDomain::kRetry,
                                     "retry#" + std::to_string(attempt));
   }
   return out;
 }
 
-BatchReport ScenarioRunner::run_batch_report(
-    const std::vector<ScenarioSpec>& specs, std::uint64_t root_seed) {
-  return run_batch_report(specs, root_seed, BatchObserver{});
+namespace {
+
+/// The batch on the one scheduler, at the lanes `opt.jobs` asks for.
+BatchReport schedule(const ScenarioRunner::Options& opt,
+                     const std::vector<BatchItem>& items,
+                     const ScenarioRunner::BatchObserver& observer) {
+  return Supervisor({.workers = batch_workers(opt.jobs), .runner = opt})
+      .run(items, observer);
 }
+
+/// The results of a batch, or the error of its first outcome in item order
+/// without one: failed, timed out, crashed or hung (incomplete runs have a
+/// result).
+std::vector<ScenarioResult> results_or_throw(BatchReport report) {
+  std::vector<ScenarioResult> results;
+  for (auto& o : report.outcomes) {
+    if (o.status == RunStatus::kTimedOut) {
+      throw ScenarioTimeout(o.error, std::move(o.flight_recording));
+    }
+    if (!o.result) {
+      throw ScenarioFailure(o.error, std::move(o.flight_recording));
+    }
+    results.push_back(std::move(*o.result));
+  }
+  return results;
+}
+
+}  // namespace
 
 BatchReport ScenarioRunner::run_batch_report(
     const std::vector<ScenarioSpec>& specs, std::uint64_t root_seed,
     const BatchObserver& observer) {
-  BatchReport report;
-  // run_outcome never throws, so one hostile spec cannot sink the batch the
-  // way run_batch's first-exception-wins rethrow does.
-  report.outcomes = sweep_.map<RunOutcome>(specs.size(), [&](std::size_t i) {
-    const std::uint64_t seed = batch_seed(root_seed, specs[i]);
-    if (observer.started) observer.started(i, specs[i], seed);
-    RunOutcome out = run_outcome(specs[i], seed);
-    if (observer.finished) observer.finished(i, specs[i], out);
-    return out;
-  });
-  return report;
+  return schedule(opt_, batch_items(specs, root_seed), observer);
 }
 
 std::vector<ScenarioResult> ScenarioRunner::run_batch(
     const std::vector<ScenarioSpec>& specs, std::uint64_t root_seed) {
-  return sweep_.map<ScenarioResult>(specs.size(), [&](std::size_t i) {
-    return run(specs[i], batch_seed(root_seed, specs[i]));
-  });
+  return results_or_throw(run_batch_report(specs, root_seed));
 }
 
 std::vector<ScenarioResult> ScenarioRunner::run_seeds(const ScenarioSpec& spec,
                                                       std::uint64_t root_seed,
                                                       int repeats) {
-  const auto n = static_cast<std::size_t>(repeats < 0 ? 0 : repeats);
-  return sweep_.map<ScenarioResult>(n, [&](std::size_t i) {
-    return run(spec,
-               sim::derive_seed(root_seed, sim::SeedDomain::kFanout,
-                                spec.name + "#" + std::to_string(i)));
-  });
+  std::vector<BatchItem> items;
+  for (int i = 0; i < repeats; ++i) {
+    const std::string label = spec.name + "#" + std::to_string(i);
+    items.push_back(
+        {&spec, sim::derive_seed(root_seed, sim::SeedDomain::kFanout, label)});
+  }
+  return results_or_throw(schedule(opt_, items, {}));
 }
 
 /// Platform construction, workload installation and boot. Shield plan,
@@ -851,6 +865,13 @@ std::string scenario_prefix_key(const ScenarioSpec& spec) {
 
 std::uint64_t batch_seed(std::uint64_t root_seed, const ScenarioSpec& spec) {
   return sim::derive_seed(root_seed, sim::SeedDomain::kBatch, spec.name);
+}
+
+std::vector<BatchItem> batch_items(const std::vector<ScenarioSpec>& specs,
+                                   std::uint64_t root_seed) {
+  std::vector<BatchItem> items;
+  for (const auto& s : specs) items.push_back({&s, batch_seed(root_seed, s)});
+  return items;
 }
 
 json::Value attribution_rollup(const std::vector<RunOutcome>& outcomes) {

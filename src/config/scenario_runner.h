@@ -2,10 +2,10 @@
 //
 // ScenarioRunner turns a ScenarioSpec into a Platform, installs the
 // workloads, builds the probe, boots, applies the shield plan, runs to the
-// horizon and returns a serializable ScenarioResult. Batches fan out over
-// bench::SweepRunner with per-scenario seeds derived via sim::derive_seed
-// (insertion-order independent). Every run simulates: the campaign journal
-// (config/journal.h) is the one store that keeps and adopts outcomes.
+// horizon and returns a serializable ScenarioResult. Batches run on the one
+// scheduler (config::Supervisor) at per-name seeds (sim::derive_seed). Every
+// run simulates: the campaign journal (config/journal.h) is the one store
+// that keeps and adopts outcomes.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +20,6 @@
 #include "config/json.h"
 #include "config/platform.h"
 #include "config/scenario.h"
-#include "config/sweep_runner.h"
 #include "rt/probe.h"
 
 namespace config {
@@ -170,7 +169,8 @@ struct BatchReport {
 class ScenarioRunner {
  public:
   struct Options {
-    /// Worker threads for batches (0 = all hardware threads).
+    /// Batch lanes (0 = one per hardware thread): one runs inline, two or
+    /// more on that many worker processes (config::batch_workers).
     unsigned jobs = 0;
     /// Multiplies sample counts / fixed horizons, like the benches'
     /// --scale always has.
@@ -207,8 +207,7 @@ class ScenarioRunner {
   };
 
   ScenarioRunner() : ScenarioRunner(Options{}) {}
-  explicit ScenarioRunner(Options opt)
-      : opt_(std::move(opt)), sweep_(opt_.jobs) {}
+  explicit ScenarioRunner(Options opt) : opt_(std::move(opt)) {}
 
   /// Verification harness for the snapshot layer: run `spec` three ways —
   /// an ordinary uninterrupted run, an arena-hosted run snapshotted at
@@ -232,14 +231,14 @@ class ScenarioRunner {
   ScenarioResult run(const ScenarioSpec& spec, std::uint64_t seed,
                      const Hooks& hooks = {});
 
-  /// Run many scenarios in parallel; seeds derive from `root_seed` per
-  /// spec *name*, so adding or reordering specs does not reshuffle the
-  /// streams of the others. Results come back in spec order.
+  /// run_batch_report, then the results in spec order. Throws the error of
+  /// the first failed, timed-out, crashed or hung outcome in spec order;
+  /// incomplete results come back like complete ones.
   std::vector<ScenarioResult> run_batch(const std::vector<ScenarioSpec>& specs,
                                         std::uint64_t root_seed);
 
-  /// Run one scenario at `repeats` derived seeds in parallel
-  /// (seed fan-out for jitter-of-jitter studies).
+  /// Like run_batch, over one scenario at `repeats` derived seeds (seed
+  /// fan-out for jitter-of-jitter studies).
   std::vector<ScenarioResult> run_seeds(const ScenarioSpec& spec,
                                         std::uint64_t root_seed, int repeats);
 
@@ -247,10 +246,9 @@ class ScenarioRunner {
   /// specs) bounded reseeded retries are folded into the outcome record.
   RunOutcome run_outcome(const ScenarioSpec& spec, std::uint64_t seed);
 
-  /// Progress callbacks for hardened batches. Both are invoked from worker
-  /// threads — possibly concurrently for different specs — so callbacks
-  /// must synchronize their own state. Used by the campaign journal to log
-  /// start/done records as they happen rather than after the batch.
+  /// Progress callbacks for hardened batches, invoked on the calling thread
+  /// whatever the lanes: `started` at an item's dispatch, `finished` at its
+  /// terminal outcome.
   struct BatchObserver {
     std::function<void(std::size_t index, const ScenarioSpec& spec,
                        std::uint64_t seed)>
@@ -261,19 +259,23 @@ class ScenarioRunner {
   };
 
   /// Hardened batch: every spec runs to an outcome regardless of other
-  /// specs failing; the report carries per-spec status. Seeds derive like
-  /// run_batch's.
-  BatchReport run_batch_report(const std::vector<ScenarioSpec>& specs,
-                               std::uint64_t root_seed);
+  /// specs failing; the report carries per-spec status, in spec order.
+  /// Seeds derive from `root_seed` per spec *name* (batch_seed), so adding
+  /// or reordering specs does not reshuffle the others' streams.
   BatchReport run_batch_report(const std::vector<ScenarioSpec>& specs,
                                std::uint64_t root_seed,
-                               const BatchObserver& observer);
+                               const BatchObserver& observer = {});
 
  private:
   class LiveRun;
 
   Options opt_;
-  bench::SweepRunner sweep_;
+};
+
+/// One unit of batch work: a spec and the seed it runs at.
+struct BatchItem {
+  const ScenarioSpec* spec = nullptr;
+  std::uint64_t seed = 0;
 };
 
 /// Digest of the part of a spec that precedes the probe: machine, kernel
@@ -288,6 +290,10 @@ class ScenarioRunner {
 /// re-placing specs never reshuffles another spec's streams.
 [[nodiscard]] std::uint64_t batch_seed(std::uint64_t root_seed,
                                        const ScenarioSpec& spec);
+
+/// `specs` as batch items at their batch seeds, in spec order.
+[[nodiscard]] std::vector<BatchItem> batch_items(
+    const std::vector<ScenarioSpec>& specs, std::uint64_t root_seed);
 
 /// Campaign blame rollup (attribution-rollup-v1) over every outcome whose
 /// result carries an attribution-v1 document; null when none does. Derived

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <deque>
 #include <optional>
@@ -50,58 +51,33 @@ bool write_line(int fd, const Value& msg) {
   return write_all(fd, msg.dump() + "\n");
 }
 
-/// Blocking read of one '\n'-terminated line (worker side). False on EOF.
-bool read_line_blocking(int fd, std::string& buffer, std::string& line) {
-  for (;;) {
-    const std::size_t nl = buffer.find('\n');
-    if (nl != std::string::npos) {
-      line = buffer.substr(0, nl);
-      buffer.erase(0, nl + 1);
-      return true;
-    }
-    char chunk[4096];
-    const ssize_t n = ::read(fd, chunk, sizeof chunk);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) return false;
-    buffer.append(chunk, static_cast<std::size_t>(n));
-  }
-}
-
 // ---- worker process ---------------------------------------------------------
 
-/// Which task the worker is currently running; the host-fault handler needs
-/// it to label its last-breath message.
-struct WorkerTask {
-  int index = -1;
-  int respawn = 0;
-  int out_fd = -1;
-};
-
-[[noreturn]] void worker_main(int task_fd, int result_fd,
-                              ScenarioRunner::Options ropt) {
-  // One single-threaded runner per worker — the pool is the parallelism.
-  ropt.jobs = 1;
+/// Answer task lines with `done` lines until the task pipe closes. A task
+/// line is "<index> <respawns>": the worker forked after the items existed,
+/// so their specs and seeds are already in its memory.
+void serve(int task_fd, int result_fd, const std::vector<BatchItem>& items,
+           const ScenarioRunner::Options& ropt) {
+  // One single-threaded runner per worker — the workers are the lanes.
   ScenarioRunner runner(ropt);
+  std::size_t index = 0;
+  int respawns = 0;
 
   // Host-fault bridge: a kHostCrash/kHostHang spec firing here reports the
   // pending death upstream (with the flight dump as last evidence), then
-  // actually dies. On the post-respawn rerun (respawn > 0) the fault is
+  // actually dies. On the post-respawn rerun (respawns > 0) the fault is
   // declined — it already fired once — which matches the in-process
   // semantics where host faults are counted as skipped, so the rerun's
   // result is bit-identical to an unsupervised run of the spec.
-  WorkerTask task;
   fault::set_host_fault_handler(
-      [&task](fault::FaultKind kind, const Value& flight) -> bool {
-        if (task.respawn > 0) return false;
+      [&](fault::FaultKind kind, const Value& flight) -> bool {
+        if (respawns > 0) return false;
         Value msg = Value::object();
         msg.set("event", "fault");
-        msg.set("index", task.index);
+        msg.set("index", index);
         msg.set("kind", fault::to_string(kind));
         if (!flight.is_null()) msg.set("flight", flight);
-        (void)write_line(task.out_fd, msg);
+        (void)write_line(result_fd, msg);
         if (kind == fault::FaultKind::kHostHang) {
           for (;;) ::pause();
         }
@@ -110,71 +86,62 @@ struct WorkerTask {
         return true;  // unreachable for the kinds above
       });
 
-  std::string buffer, line;
-  while (read_line_blocking(task_fd, buffer, line)) {
-    Value msg;
-    try {
-      msg = Value::parse(line);
-    } catch (const std::exception&) {
-      std::_Exit(3);  // protocol corruption: die loudly, the parent requeues
+  std::FILE* tasks = ::fdopen(task_fd, "r");
+  char line[64];
+  while (tasks != nullptr && std::fgets(line, sizeof line, tasks) != nullptr) {
+    if (std::sscanf(line, "%zu %d", &index, &respawns) != 2 ||
+        index >= items.size()) {
+      std::_Exit(3);
     }
-    const Value* tasks = msg.find("tasks");
-    if (tasks == nullptr || !tasks->is_array()) std::_Exit(3);
-    for (const auto& t : tasks->items()) {
-      task.index = static_cast<int>(t.find("index")->as_i64());
-      task.respawn = static_cast<int>(t.find("respawn")->as_i64());
-      task.out_fd = result_fd;
-      const std::uint64_t seed = t.find("seed")->as_u64();
+    Value done = Value::object();
+    done.set("event", "done");
+    done.set("index", index);
+    const BatchItem& item = items[index];
+    done.set("outcome",
+             runner.run_outcome(*item.spec, item.seed).to_full_json());
+    if (!write_line(result_fd, done)) std::_Exit(1);
+  }
+}
 
-      Value start = Value::object();
-      start.set("event", "start");
-      start.set("index", task.index);
-      if (!write_line(result_fd, start)) std::_Exit(1);
-
-      RunOutcome out;
-      try {
-        const ScenarioSpec spec = ScenarioSpec::from_json(*t.find("spec"));
-        out = runner.run_outcome(spec, seed);
-      } catch (const std::exception& e) {
-        // Malformed spec JSON — run_outcome itself never throws.
-        if (const Value* s = t.find("spec")) {
-          if (const Value* n = s->find("name")) out.name = n->as_string();
-        }
-        out.status = RunStatus::kFailed;
-        out.error = e.what();
-      }
-
-      Value done = Value::object();
-      done.set("event", "done");
-      done.set("index", task.index);
-      done.set("outcome", out.to_full_json());
-      if (!write_line(result_fd, done)) std::_Exit(1);
-    }
+/// A forked worker leaves only by _Exit (or the host-fault signal): no
+/// stdio buffer inherited from the parent is flushed twice, and no
+/// exception unwinds into the parent's code. A corrupt task line exits 3;
+/// the parent requeues the item.
+[[noreturn]] void worker_main(int task_fd, int result_fd,
+                              const std::vector<BatchItem>& items,
+                              const ScenarioRunner::Options& ropt) {
+  try {
+    serve(task_fd, result_fd, items, ropt);
+  } catch (...) {
+    std::_Exit(3);
   }
   std::_Exit(0);  // task pipe closed: clean shutdown
 }
 
 // ---- supervisor (parent) ----------------------------------------------------
 
+/// What a worker's pre-death "fault" message said.
+struct FaultEvidence {
+  int index = -1;
+  std::string kind;
+  Value flight;
+};
+
 struct Slot {
   pid_t pid = -1;
   int rfd = -1;  ///< worker → supervisor (nonblocking)
   int wfd = -1;  ///< supervisor → worker (blocking)
-  std::string buffer;                  ///< partial-line accumulation
-  std::optional<std::size_t> assigned; ///< dispatched, not yet done
-  std::optional<std::size_t> running;  ///< last start without a done
-  Clock::time_point heartbeat{};
+  std::string buffer;               ///< partial-line accumulation
+  std::optional<std::size_t> task;  ///< item dispatched, not yet done
+  Clock::time_point heartbeat{};    ///< dispatch, or the last message since
   bool kill_sent = false;  ///< heartbeat SIGKILL fired → classify kHung
   int death_streak = 0;    ///< consecutive abnormal deaths of this slot
   Clock::time_point backoff_until{};
   bool in_backoff = false;
-  // Evidence from a pre-death "fault" message.
-  int fault_index = -1;
-  std::string fault_kind;
-  Value fault_flight;
+  FaultEvidence fault;
 
   [[nodiscard]] bool alive() const { return pid > 0; }
-  [[nodiscard]] bool busy() const { return assigned.has_value(); }
+  [[nodiscard]] bool busy() const { return task.has_value(); }
 };
 
 void close_fd(int& fd) {
@@ -183,33 +150,30 @@ void close_fd(int& fd) {
 }
 
 bool spawn_worker(Slot& slot, std::vector<Slot>& slots,
+                  const std::vector<BatchItem>& items,
                   const ScenarioRunner::Options& ropt) {
   int task_pipe[2] = {-1, -1};    // supervisor → worker
   int result_pipe[2] = {-1, -1};  // worker → supervisor
-  if (::pipe(task_pipe) != 0) return false;
-  if (::pipe(result_pipe) != 0) {
-    ::close(task_pipe[0]);
-    ::close(task_pipe[1]);
-    return false;
-  }
-  const pid_t pid = ::fork();
+  const pid_t pid = ::pipe(task_pipe) == 0 && ::pipe(result_pipe) == 0
+                        ? ::fork()
+                        : -1;
   if (pid < 0) {
-    ::close(task_pipe[0]);
-    ::close(task_pipe[1]);
-    ::close(result_pipe[0]);
-    ::close(result_pipe[1]);
+    for (int fd : {task_pipe[0], task_pipe[1], result_pipe[0],
+                   result_pipe[1]}) {
+      close_fd(fd);
+    }
     return false;
   }
   if (pid == 0) {
     // Child: drop every parent-side fd inherited across fork — other
     // workers' pipes included — so pipe EOFs mean what they should.
     for (Slot& other : slots) {
-      if (other.rfd >= 0) ::close(other.rfd);
-      if (other.wfd >= 0) ::close(other.wfd);
+      close_fd(other.rfd);
+      close_fd(other.wfd);
     }
     ::close(task_pipe[1]);
     ::close(result_pipe[0]);
-    worker_main(task_pipe[0], result_pipe[1], ropt);  // noreturn
+    worker_main(task_pipe[0], result_pipe[1], items, ropt);  // noreturn
   }
   ::close(task_pipe[0]);
   ::close(result_pipe[1]);
@@ -219,24 +183,71 @@ bool spawn_worker(Slot& slot, std::vector<Slot>& slots,
   const int flags = ::fcntl(slot.rfd, F_GETFL, 0);
   (void)::fcntl(slot.rfd, F_SETFL, flags | O_NONBLOCK);
   slot.buffer.clear();
-  slot.assigned.reset();
-  slot.running.reset();
+  slot.task.reset();
   slot.kill_sent = false;
-  slot.fault_index = -1;
-  slot.fault_kind.clear();
-  slot.fault_flight = Value();
-  slot.heartbeat = Clock::now();
+  slot.fault = {};
   return true;
 }
 
 }  // namespace
+
+int batch_workers(unsigned jobs) {
+  long lanes = jobs;
+  if (lanes == 0) lanes = std::max(1L, ::sysconf(_SC_NPROCESSORS_ONLN));
+  return lanes <= 1 ? 0 : static_cast<int>(std::min<long>(lanes, INT_MAX));
+}
 
 Supervisor::Supervisor(Options opt) : opt_(std::move(opt)) {}
 
 BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
                             std::uint64_t root_seed,
                             CampaignJournal* journal) {
+  return run(batch_items(specs, root_seed), {}, journal);
+}
+
+BatchReport Supervisor::run(const std::vector<BatchItem>& items,
+                            const ScenarioRunner::BatchObserver& observer,
+                            CampaignJournal* journal) {
   stats_ = Stats{};
+  const std::size_t total = items.size();
+  std::vector<std::optional<RunOutcome>> outcomes(total);
+  std::size_t completed = 0;
+
+  // Each item's progress, recorded here on the calling thread whichever
+  // lane runs it: `started` at dispatch, `finished` at its terminal outcome.
+  const auto started = [&](std::size_t i) {
+    const BatchItem& it = items[i];
+    if (journal != nullptr) {
+      journal->write_start(it.spec->name, it.spec->digest(), it.seed);
+    }
+    if (observer.started) observer.started(i, *it.spec, it.seed);
+  };
+  const auto finished = [&](std::size_t i, RunOutcome out) {
+    const BatchItem& it = items[i];
+    if (journal != nullptr) {
+      journal->write_done(it.spec->name, it.spec->digest(), it.seed, out);
+    }
+    if (observer.finished) observer.finished(i, *it.spec, out);
+    outcomes[i] = std::move(out);
+    completed++;
+  };
+  const auto assemble = [&](Value supervision) {
+    BatchReport report;
+    report.outcomes.reserve(total);
+    for (auto& o : outcomes) report.outcomes.push_back(std::move(*o));
+    report.supervisor = std::move(supervision);
+    return report;
+  };
+
+  if (opt_.workers <= 0) {
+    ScenarioRunner runner(opt_.runner);
+    for (std::size_t i = 0; i < total; ++i) {
+      started(i);
+      finished(i, runner.run_outcome(*items[i].spec, items[i].seed));
+    }
+    return assemble(Value());
+  }
+
   auto alive_gauge = telemetry_.settable_gauge(
       "supervisor.workers_alive", "worker processes currently alive", 1);
   auto respawn_gauge = telemetry_.settable_gauge(
@@ -244,17 +255,9 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
   auto backoff_gauge = telemetry_.settable_gauge(
       "supervisor.backoff_slots",
       "worker slots currently waiting out a respawn backoff", 1);
-
-  const std::size_t total = specs.size();
-  std::vector<std::optional<RunOutcome>> outcomes(total);
   std::vector<int> respawns_of(total, 0);
-  std::size_t completed = 0;
 
-  const auto seed_of = [&](std::size_t i) {
-    return batch_seed(root_seed, specs[i]);
-  };
-
-  // One spec per dispatch, in batch order: outcomes do not depend on
+  // One item per dispatch, in item order: outcomes do not depend on
   // placement.
   std::deque<std::size_t> queue;
   for (std::size_t i = 0; i < total; ++i) queue.push_back(i);
@@ -273,8 +276,7 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
   ::sigaction(SIGPIPE, &ignore_pipe, &saved_pipe);
 
   const std::size_t nworkers = std::min<std::size_t>(
-      static_cast<std::size_t>(std::max(1, opt_.workers)),
-      std::max<std::size_t>(1, total));
+      static_cast<std::size_t>(opt_.workers), std::max<std::size_t>(1, total));
   std::vector<Slot> slots(nworkers);
 
   const auto jitter_s = [&](std::uint64_t n) {
@@ -282,59 +284,47 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
     // domain: decorrelates respawn stampedes without adding a second
     // source of nondeterminism to campaigns.
     return static_cast<double>(
-               sim::derive_seed(root_seed, sim::SeedDomain::kRespawn,
+               sim::derive_seed(items.front().seed, sim::SeedDomain::kRespawn,
                                 "respawn#" + std::to_string(n)) %
                50) /
            1000.0;
   };
 
-  // Terminal quarantine: the spec has killed more workers than allowed.
+  // Terminal quarantine: the item has killed more workers than allowed.
   const auto quarantine = [&](std::size_t i, bool hung, const Slot& slot,
                               int sig, int exit_code) {
     RunOutcome out;
-    out.name = specs[i].name;
-    out.mechanism = specs[i].mechanism;
+    out.name = items[i].spec->name;
+    out.mechanism = items[i].spec->mechanism;
     out.status = hung ? RunStatus::kHung : RunStatus::kCrashed;
     out.attempts = respawns_of[i];
-    if (hung) {
-      out.error = "worker hung running this spec (no heartbeat within " +
-                  std::to_string(opt_.hang_timeout_s) + "s); gave up after " +
-                  std::to_string(respawns_of[i]) + " worker deaths";
-    } else if (sig > 0) {
-      out.error = "worker died with signal " + std::to_string(sig) +
-                  " running this spec; gave up after " +
-                  std::to_string(respawns_of[i]) + " worker deaths";
-    } else {
-      out.error = "worker exited with status " + std::to_string(exit_code) +
-                  " running this spec; gave up after " +
-                  std::to_string(respawns_of[i]) + " worker deaths";
-    }
-    if (slot.fault_index == static_cast<int>(i) &&
-        !slot.fault_flight.is_null()) {
-      out.flight_recording = slot.fault_flight;
-    }
     Value ex = Value::object();
     ex.set("phase", "run");
     ex.set("respawns", respawns_of[i]);
+    std::string how;
     if (hung) {
       ex.set("cause", "hang");
+      how = "hung running this spec (no heartbeat within " +
+            std::to_string(opt_.hang_timeout_s) + "s)";
     } else if (sig > 0) {
       ex.set("cause", "signal");
       ex.set("signal", sig);
+      how = "died with signal " + std::to_string(sig) + " running this spec";
     } else {
       ex.set("cause", "exit");
       ex.set("exit_code", exit_code);
+      how = "exited with status " + std::to_string(exit_code) +
+            " running this spec";
     }
-    if (slot.fault_index == static_cast<int>(i) && !slot.fault_kind.empty()) {
-      ex.set("host_fault", slot.fault_kind);
+    out.error = "worker " + how + "; gave up after " +
+                std::to_string(respawns_of[i]) + " worker deaths";
+    if (slot.fault.index == static_cast<int>(i)) {
+      if (!slot.fault.kind.empty()) ex.set("host_fault", slot.fault.kind);
+      out.flight_recording = slot.fault.flight;
     }
     out.execution = std::move(ex);
-    if (journal != nullptr) {
-      journal->write_done(specs[i].name, specs[i].digest(), seed_of(i), out);
-    }
-    outcomes[i] = std::move(out);
-    completed++;
     stats_.specs_quarantined++;
+    finished(i, std::move(out));
   };
 
   const auto handle_death = [&](Slot& slot) {
@@ -360,22 +350,20 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
       } else {
         inc.set("exit_code", exit_code);
       }
-      if (slot.running) inc.set("spec", specs[*slot.running].name);
-      if (!slot.fault_kind.empty()) inc.set("host_fault", slot.fault_kind);
+      if (slot.task) inc.set("spec", items[*slot.task].spec->name);
+      if (!slot.fault.kind.empty()) inc.set("host_fault", slot.fault.kind);
       record_incident(std::move(inc));
 
-      // The in-flight spec is charged with the death; the slot's spec,
-      // unless that quarantined it, goes back to the front of the queue.
-      if (slot.running && !outcomes[*slot.running]) {
-        const std::size_t i = *slot.running;
-        respawns_of[i]++;
-        if (respawns_of[i] > opt_.max_respawns) {
+      // The in-flight item is charged with the death and, unless that
+      // quarantines it, goes back to the front of the queue.
+      if (slot.task) {
+        const std::size_t i = *slot.task;
+        if (++respawns_of[i] > opt_.max_respawns) {
           quarantine(i, hung, slot, sig, exit_code);
+        } else {
+          stats_.requeues++;
+          queue.push_front(i);
         }
-      }
-      if (slot.assigned && !outcomes[*slot.assigned]) {
-        stats_.requeues++;
-        queue.push_front(*slot.assigned);
       }
 
       slot.death_streak++;
@@ -396,8 +384,7 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
     close_fd(slot.rfd);
     close_fd(slot.wfd);
     slot.pid = -1;
-    slot.assigned.reset();
-    slot.running.reset();
+    slot.task.reset();
     slot.kill_sent = false;
   };
 
@@ -412,40 +399,28 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
     if (ev == nullptr) return;
     slot.heartbeat = Clock::now();
     const std::string& kind = ev->as_string();
-    if (kind == "start") {
+    if (kind == "done") {
       const auto i = static_cast<std::size_t>(msg.find("index")->as_i64());
-      if (i >= total) return;
-      slot.running = i;
-      if (journal != nullptr) {
-        journal->write_start(specs[i].name, specs[i].digest(), seed_of(i));
-      }
-    } else if (kind == "done") {
-      const auto i = static_cast<std::size_t>(msg.find("index")->as_i64());
-      if (i >= total) return;
+      if (slot.task != i) return;
+      RunOutcome out;
       try {
-        RunOutcome out = RunOutcome::from_json(*msg.find("outcome"));
-        if (!outcomes[i]) completed++;
-        if (journal != nullptr) {
-          journal->write_done(specs[i].name, specs[i].digest(), seed_of(i),
-                              out);
-        }
-        outcomes[i] = std::move(out);
+        out = RunOutcome::from_json(*msg.find("outcome"));
       } catch (const std::exception&) {
-        return;  // malformed outcome: leave the spec pending for re-queue
+        return;  // malformed outcome: leave the item pending for re-queue
       }
-      if (slot.running == i) slot.running.reset();
-      if (slot.assigned == i) slot.assigned.reset();
+      slot.task.reset();
       slot.death_streak = 0;
+      finished(i, std::move(out));
     } else if (kind == "fault") {
-      slot.fault_index = static_cast<int>(msg.find("index")->as_i64());
-      if (const Value* v = msg.find("kind")) slot.fault_kind = v->as_string();
-      if (const Value* v = msg.find("flight")) slot.fault_flight = *v;
+      FaultEvidence& f = slot.fault;
+      f.index = static_cast<int>(msg.find("index")->as_i64());
+      if (const Value* v = msg.find("kind")) f.kind = v->as_string();
+      if (const Value* v = msg.find("flight")) f.flight = *v;
       Value inc = Value::object();
       inc.set("type", "host-fault");
-      inc.set("kind", slot.fault_kind);
-      if (slot.fault_index >= 0 &&
-          slot.fault_index < static_cast<int>(total)) {
-        inc.set("spec", specs[static_cast<std::size_t>(slot.fault_index)].name);
+      inc.set("kind", f.kind);
+      if (f.index >= 0 && f.index < static_cast<int>(total)) {
+        inc.set("spec", items[static_cast<std::size_t>(f.index)].spec->name);
       }
       record_incident(std::move(inc));
     }
@@ -460,7 +435,7 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
     // Spawn replacements and hand out work.
     for (auto& slot : slots) {
       if (!slot.alive() && !slot.in_backoff && !queue.empty()) {
-        if (spawn_worker(slot, slots, opt_.runner)) {
+        if (spawn_worker(slot, slots, items, opt_.runner)) {
           stats_.spawns++;
           if (slot.death_streak > 0) stats_.respawns++;
         } else {
@@ -473,21 +448,16 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
       if (slot.alive() && !slot.busy() && !queue.empty()) {
         const std::size_t i = queue.front();
         queue.pop_front();
-        if (outcomes[i]) continue;
-        Value t = Value::object();
-        t.set("index", i);
-        t.set("respawn", respawns_of[i]);
-        t.set("seed", seed_of(i));
-        t.set("spec", specs[i].to_json());
-        Value tasks = Value::array();
-        tasks.push(std::move(t));
-        slot.assigned = i;
-        Value msg = Value::object();
-        msg.set("tasks", std::move(tasks));
-        slot.heartbeat = Clock::now();
-        if (!write_line(slot.wfd, msg)) {
-          handle_death(slot);  // died before accepting: requeues `assigned`
+        if (!write_all(slot.wfd, std::to_string(i) + " " +
+                                     std::to_string(respawns_of[i]) + "\n")) {
+          // The worker died before accepting the item: not its death.
+          queue.push_front(i);
+          handle_death(slot);
+          continue;
         }
+        slot.task = i;
+        slot.heartbeat = Clock::now();  // the hang clock starts at dispatch
+        started(i);
       }
     }
 
@@ -502,13 +472,9 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
     if (completed == total) break;
 
     // Wait for worker traffic, the next hang deadline, or a backoff expiry.
+    // A dead slot's fd is -1, which poll() skips.
     std::vector<pollfd> fds;
-    std::vector<std::size_t> fd_slot;
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-      if (!slots[s].alive()) continue;
-      fds.push_back(pollfd{slots[s].rfd, POLLIN, 0});
-      fd_slot.push_back(s);
-    }
+    for (const auto& slot : slots) fds.push_back(pollfd{slot.rfd, POLLIN, 0});
     int timeout_ms = -1;
     const auto consider = [&](Clock::time_point tp) {
       const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -529,7 +495,7 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
     for (const auto& slot : slots) {
       if (slot.in_backoff) consider(slot.backoff_until);
     }
-    if (fds.empty() && timeout_ms < 0) timeout_ms = 50;  // paranoia backstop
+    if (alive == 0 && timeout_ms < 0) timeout_ms = 50;  // paranoia backstop
     if (::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms) < 0 &&
         errno != EINTR) {
       break;  // unrecoverable poll failure; report what completed
@@ -537,7 +503,7 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
 
     for (std::size_t k = 0; k < fds.size(); ++k) {
       if ((fds[k].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      Slot& slot = slots[fd_slot[k]];
+      Slot& slot = slots[k];
       if (!slot.alive()) continue;
       bool eof = false;
       for (;;) {
@@ -593,10 +559,6 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
   backoff_gauge.set(0, 0);
   ::sigaction(SIGPIPE, &saved_pipe, nullptr);
 
-  BatchReport report;
-  report.outcomes.reserve(total);
-  for (auto& o : outcomes) report.outcomes.push_back(std::move(*o));
-
   Value sup = Value::object();
   sup.set("workers", nworkers);
   sup.set("spawns", stats_.spawns);
@@ -607,7 +569,7 @@ BatchReport Supervisor::run(const std::vector<ScenarioSpec>& specs,
   sup.set("quarantined", stats_.specs_quarantined);
   sup.set("backoff_total_s", stats_.backoff_total_s);
   if (!incidents.items().empty()) sup.set("incidents", std::move(incidents));
-  report.supervisor = std::move(sup);
+  BatchReport report = assemble(std::move(sup));
 
   // Campaign blame rollup exported as prometheus series: one cell per cause
   // key with its campaign-wide nanoseconds and segment count. Registered

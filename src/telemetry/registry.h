@@ -1,9 +1,10 @@
 // Central metric registry: named counters, gauges and histograms with
 // per-cell sharding (cells are usually CPUs, sometimes locks or IRQ lines).
 //
-// The simulation is single-threaded per Platform (SweepRunner parallelism
-// is across Platforms), so cells are plain uint64_t — no atomics anywhere
-// on the hot path. Components register metrics once at construction:
+// The simulation is single-threaded: a batch runs its Platforms one at a
+// time on a lane, and lanes are separate worker processes, so cells are
+// plain uint64_t — no atomics anywhere on the hot path. Components register
+// metrics once at construction:
 //
 //   * Counter   — registry-owned storage; the component increments through
 //                 a small handle (one pointer indirection per add).

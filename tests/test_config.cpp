@@ -1,6 +1,9 @@
 // Kernel/machine configuration presets and platform assembly.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "config/option_value.h"
 #include "config/scenario.h"
 #include "kernel_test_util.h"
 
@@ -146,4 +149,27 @@ TEST(ScenarioPresets, KernelOverridesApplyAndReject) {
   auto bad = config::json::Value::object();
   bad.set("warp_factor", 9);
   EXPECT_THROW(config::apply_kernel_overrides(cfg, bad), std::runtime_error);
+}
+
+// Numeric option values count only when the whole string is a number of
+// the option's kind: a typo exits 2 instead of running with 0 or a wrapped
+// count.
+TEST(OptionValue, AcceptsOnlyAWholeNumberOfTheRightKind) {
+  EXPECT_EQ(config::parse_count("2003"), 2003u);
+  EXPECT_EQ(config::parse_count("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(config::parse_count("4", 4), 4u);
+  EXPECT_FALSE(config::parse_count("5", 4));
+  for (const char* bad : {"", "abc", "-1", "+1", " 1", "1 ", "1x", "0x10",
+                          "1.0", "18446744073709551616"}) {
+    EXPECT_FALSE(config::parse_count(bad)) << bad;
+  }
+  EXPECT_EQ(config::parse_real("0.01", true), 0.01);
+  EXPECT_EQ(config::parse_real("1e-3", true), 1e-3);
+  EXPECT_EQ(config::parse_real("0", false), 0.0);
+  EXPECT_FALSE(config::parse_real("0", true));
+  for (const char* bad : {"", "abc", "1x", " 1", "+1", "-0.5", "inf", "nan",
+                          "1e999"}) {
+    EXPECT_FALSE(config::parse_real(bad, true)) << bad;
+    EXPECT_FALSE(config::parse_real(bad, false)) << bad;
+  }
 }

@@ -196,65 +196,63 @@ TEST(OobPipeline, ReselectingTheCurrentMechanismIsANoOp) {
 // The head-to-head the mech-* family exists for, at smoke scale: the oob
 // stage holds sub-microsecond (rcim) / exactly-constant (cyclictest)
 // response and shrugs off the interrupt storm and SMI plans that push the
-// *shielded* in-band kernel to tens of microseconds and beyond.
+// *shielded* in-band kernel to tens of microseconds and beyond. Every claim
+// holds at each root seed 1-8, the seed set (and maxima) EXPERIMENTS.md
+// states, not at one lucky seed.
 TEST(MechanismComparison, OobBeatsShieldingUnderStormAndSmi) {
   const std::vector<std::string> names = {
-      "mech-rcim-shielded", "mech-rcim-oob", "mech-cyclic-oob",
-      "mech-smi-shielded",  "mech-smi-oob",
+      "mech-rcim-shielded",  "mech-rcim-oob",  "mech-cyclic-oob",
+      "mech-smi-shielded",   "mech-smi-oob",   "mech-storm-shielded",
+      "mech-storm-oob",
   };
   std::vector<config::ScenarioSpec> specs;
   for (const auto& n : names) specs.push_back(spec_of(n.c_str()));
 
   config::ScenarioRunner runner(smoke_options());
-  const auto report = runner.run_batch_report(specs, 42);
-  ASSERT_TRUE(report.all_ok());
-
-  std::map<std::string, const config::RunOutcome*> by_name;
-  for (const auto& o : report.outcomes) by_name[o.name] = &o;
-  auto max_of = [&](const std::string& n) {
-    return by_name.at(n)->result->probe.primary.max();
-  };
-
-  // Sub-microsecond oob response on the interrupt-driven probes.
-  EXPECT_LT(max_of("mech-rcim-oob"), 1_us);
-  const auto& cyclic = by_name.at("mech-cyclic-oob")->result->probe.primary;
-  EXPECT_EQ(cyclic.min(), cyclic.max());  // exactly constant, every cycle
-  EXPECT_LT(cyclic.max(), 1_us);
-
-  // Shielding floors in the paper's 11–27 µs band on rcim; the oob stage
-  // is an order of magnitude under it.
-  EXPECT_GT(max_of("mech-rcim-shielded"), 5_us);
-  EXPECT_GT(max_of("mech-rcim-shielded"), 10 * max_of("mech-rcim-oob"));
-
-  // Firmware stalls pierce shielding (they hit the shielded CPU directly)
-  // but not the oob stage.
-  EXPECT_LT(max_of("mech-smi-oob"), 4_us);
-  EXPECT_GT(max_of("mech-smi-shielded"), 10_us);
-  EXPECT_GT(max_of("mech-smi-shielded"), 10 * max_of("mech-smi-oob"));
-
-  // Outcomes carry their mechanism and the mixed batch reports the
-  // per-mechanism breakdown.
-  EXPECT_EQ(by_name.at("mech-rcim-oob")->mechanism, "oob");
-  EXPECT_EQ(by_name.at("mech-rcim-shielded")->mechanism, "inband");
-  EXPECT_NE(report.to_json().dump().find("by_mechanism"), std::string::npos);
-
-  // A storm on the shielded CPU's own line pierces shielding at some seeds
-  // only, so its pair runs over a fixed seed set: over root seeds 1-8 the
-  // shielded max spans 9.4-864 us and the oob max 1.35-1.67 us. Every seed
-  // keeps the oob stage under 4 us and shielding at least 5x above it, and
-  // some seed drives the shielded max past 100 us, ten times the storm-free
-  // shielded floor.
-  const std::vector<config::ScenarioSpec> storm = {
-      spec_of("mech-storm-shielded"), spec_of("mech-storm-oob")};
-  sim::Duration worst_shielded = 0;
+  sim::Duration worst_storm = 0;
   for (std::uint64_t root = 1; root <= 8; ++root) {
-    const auto pair = runner.run_batch_report(storm, root);
-    ASSERT_TRUE(pair.all_ok()) << "root seed " << root;
-    const auto shielded = pair.outcomes[0].result->probe.primary.max();
-    const auto oob = pair.outcomes[1].result->probe.primary.max();
-    EXPECT_LT(oob, 4_us) << "root seed " << root;
-    EXPECT_GE(shielded, 5 * oob) << "root seed " << root;
-    worst_shielded = std::max(worst_shielded, shielded);
+    SCOPED_TRACE("root seed " + std::to_string(root));
+    const auto report = runner.run_batch_report(specs, root);
+    ASSERT_TRUE(report.all_ok());
+
+    std::map<std::string, const config::RunOutcome*> by_name;
+    for (const auto& o : report.outcomes) by_name[o.name] = &o;
+    auto max_of = [&](const std::string& n) {
+      return by_name.at(n)->result->probe.primary.max();
+    };
+
+    // Sub-microsecond oob response on the interrupt-driven probes.
+    EXPECT_LT(max_of("mech-rcim-oob"), 1_us);
+    const auto& cyclic = by_name.at("mech-cyclic-oob")->result->probe.primary;
+    EXPECT_EQ(cyclic.min(), cyclic.max());  // exactly constant, every cycle
+    EXPECT_LT(cyclic.max(), 1_us);
+
+    // Shielding floors in the paper's 11–27 µs band on rcim; the oob stage
+    // is an order of magnitude under it.
+    EXPECT_GT(max_of("mech-rcim-shielded"), 5_us);
+    EXPECT_GT(max_of("mech-rcim-shielded"), 10 * max_of("mech-rcim-oob"));
+
+    // Firmware stalls pierce shielding (they hit the shielded CPU directly)
+    // but not the oob stage.
+    EXPECT_LT(max_of("mech-smi-oob"), 4_us);
+    EXPECT_GT(max_of("mech-smi-shielded"), 10_us);
+    EXPECT_GT(max_of("mech-smi-shielded"), 10 * max_of("mech-smi-oob"));
+
+    // A storm on the shielded CPU's own line pierces shielding at some
+    // seeds only: over these seeds the shielded max spans 9.4-864 us and
+    // the oob max 1.35-1.67 us. Every seed keeps the oob stage under 4 us
+    // and shielding at least 5x above it, and some seed drives the
+    // shielded max past 100 us, ten times the storm-free shielded floor.
+    const auto storm_oob = max_of("mech-storm-oob");
+    EXPECT_LT(storm_oob, 4_us);
+    EXPECT_GE(max_of("mech-storm-shielded"), 5 * storm_oob);
+    worst_storm = std::max(worst_storm, max_of("mech-storm-shielded"));
+
+    // Outcomes carry their mechanism and the mixed batch reports the
+    // per-mechanism breakdown.
+    EXPECT_EQ(by_name.at("mech-rcim-oob")->mechanism, "oob");
+    EXPECT_EQ(by_name.at("mech-rcim-shielded")->mechanism, "inband");
+    EXPECT_NE(report.to_json().dump().find("by_mechanism"), std::string::npos);
   }
-  EXPECT_GT(worst_shielded, 100_us) << "the storm pierced shielding nowhere";
+  EXPECT_GT(worst_storm, 100_us) << "the storm pierced shielding nowhere";
 }

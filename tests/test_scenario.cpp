@@ -471,13 +471,13 @@ TEST(ScenarioRunner, TransientSpecRetriesWithDerivedSeedAndCanRecover) {
   EXPECT_EQ(out.result->to_json().dump(), retry_run.to_json().dump());
 }
 
-TEST(ScenarioRunner, ForkedChildTimeoutAttachesItsOwnFlightRecording) {
-  // Two runs on one runner with the same machine, kernel and workloads:
-  // one with fault injection that completes, then one without faults that
-  // trips the event watchdog. The timeout's post-mortem dump must be the
-  // second run's own recording — if the runner leaked the first run's ring
-  // into the second, fault-arm/fault-fire events would surface in a run
-  // that has no faults.
+TEST(ScenarioRunner, TimeoutDumpHoldsOnlyItsOwnRunsEvents) {
+  // Two runs in a row on one runner, in this process, with the same
+  // machine, kernel and workloads: one with fault injection that completes,
+  // then one without faults that trips the event watchdog. The timeout's
+  // post-mortem dump must be the second run's own recording — if the
+  // runner leaked the first run's ring into the second, fault-arm/fault-fire
+  // events would surface in a run that has no faults.
   config::ScenarioRunner::Options opt;
   opt.scale = 0.005;
   opt.max_events = 1'000'000;  // ~600k for the faulted run: comfortable

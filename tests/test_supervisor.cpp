@@ -1,12 +1,14 @@
 // Crash-isolated campaign execution: the write-ahead campaign journal
-// (checksummed JSONL, replay, merge identity) and the supervised
-// multi-process executor (respawn with backoff, crash taxonomy, hang
-// detection, quarantine).
+// (checksummed JSONL, replay, merge identity) and the one batch scheduler,
+// inline at one lane and on supervised worker processes at more (respawn
+// with backoff, crash taxonomy, hang detection, quarantine).
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "config/experiment.h"
@@ -293,9 +295,11 @@ TEST(Supervisor, MatchesInProcessBatchResultsByteForByte) {
                                                 spec_of("fig7")};
   config::ScenarioRunner::Options ro;
   ro.scale = 0.005;
+  ro.jobs = 1;
 
   config::ScenarioRunner runner(ro);
   const auto in_process = runner.run_batch_report(specs, 2003);
+  EXPECT_TRUE(in_process.supervisor.is_null());  // one lane runs inline
 
   config::Supervisor::Options so;
   so.workers = 2;
@@ -433,16 +437,16 @@ TEST(Supervisor, JournalReplayReconstructsTheCampaignByteIdentically) {
 TEST(OneAnswer, EveryExecutionPathGivesTheSameBytes) {
   // The whole registry at smoke scale must serialize to the same outcome
   // bytes, and merge to the same campaign report, whichever path computed
-  // it: a cold in-process batch, supervised workers, and a journal-resumed
-  // campaign.
+  // it: a one-lane inline batch (the reference), a two-lane library batch,
+  // supervised workers, and a journal-resumed campaign.
   const auto all = config::ScenarioRegistry::builtin().all();
   const std::uint64_t root = 2003;
   config::ScenarioRunner::Options cold;
   cold.scale = 0.01;
-  cold.jobs = 2;
+  cold.jobs = 1;
 
-  config::ScenarioRunner cold_runner(cold);
-  const auto reference = cold_runner.run_batch_report(all, root);
+  const auto reference =
+      config::ScenarioRunner(cold).run_batch_report(all, root);
   ASSERT_EQ(reference.outcomes.size(), all.size());
   for (const auto& o : reference.outcomes) {
     EXPECT_TRUE(o.ok()) << o.name << ": " << o.error;
@@ -463,6 +467,11 @@ TEST(OneAnswer, EveryExecutionPathGivesTheSameBytes) {
                 merged)
         << path << ": merged campaign reports differ";
   };
+
+  auto two_lanes = cold;
+  two_lanes.jobs = 2;
+  config::ScenarioRunner lanes_runner(two_lanes);
+  same("two-lane", lanes_runner.run_batch_report(all, root).outcomes);
 
   config::Supervisor::Options so;
   so.workers = 2;
@@ -493,11 +502,85 @@ TEST(OneAnswer, EveryExecutionPathGivesTheSameBytes) {
   for (std::size_t i = 0; i < all.size(); ++i) {
     if (!adoption.outcomes[i]) rest.push_back(all[i]);
   }
-  auto fresh = cold_runner.run_batch_report(rest, root).outcomes;
+  auto fresh = lanes_runner.run_batch_report(rest, root).outcomes;
   std::vector<config::RunOutcome> resumed;
   std::size_t k = 0;
   for (auto& o : adoption.outcomes) {
     resumed.push_back(o ? std::move(*o) : std::move(fresh[k++]));
   }
   same("journal-resumed", resumed);
+}
+
+// ---- one scheduler, any lanes -----------------------------------------------
+
+TEST(OneScheduler, TwoLaneObserverRunsOnTheCallersOnlyThread) {
+  // Worker processes are the only parallelism: at two lanes every observer
+  // call happens on the calling thread of a process with no other thread.
+  const auto caller = std::this_thread::get_id();
+  int calls = 0;
+  const auto check = [&] {
+    const std::string status = read_text("/proc/self/status");
+    const auto at = status.find("\nThreads:");
+    ASSERT_NE(at, std::string::npos);
+    EXPECT_EQ(std::atoi(status.c_str() + at + 9), 1);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    calls++;
+  };
+  config::ScenarioRunner::BatchObserver obs;
+  obs.started = [&](std::size_t, const auto&, std::uint64_t) { check(); };
+  obs.finished = [&](std::size_t, const auto&, const auto&) { check(); };
+  config::ScenarioRunner::Options ro;
+  ro.scale = 0.005;
+  ro.jobs = 2;
+  const auto report = config::ScenarioRunner(ro).run_batch_report(
+      {spec_of("fig6"), spec_of("fig7"), spec_of("fig2")}, 2003, obs);
+  EXPECT_TRUE(report.all_ok());
+  EXPECT_EQ(calls, 6);
+  EXPECT_FALSE(report.supervisor.is_null());  // the lanes were workers
+}
+
+// The verify.sh "degradation inside one batch" stage, moved here with its
+// assertions and data, at one lane and at two: an event budget between the
+// two specs' costs (same machine, kernel and workloads), so the first
+// completes and the second times out with its own flight recording. Then
+// run_batch over it plus a broken spec throws the timeout, the first
+// failure in spec order, although at two lanes the broken spec fails first.
+TEST(OneScheduler, DegradedBatchAndItsFirstErrorAreTheSameAtAnyLanes) {
+  auto specs = std::vector{spec_of("abl-shield-full"),
+                           spec_of("faults-storm-shielded")};
+  std::vector<std::string> wire, errors;
+  for (const unsigned jobs : {1u, 2u}) {
+    config::ScenarioRunner::Options ro;
+    ro.scale = 0.01;
+    ro.max_events = 100'000;
+    ro.jobs = jobs;
+    config::ScenarioRunner runner(ro);
+    const auto report = runner.run_batch_report(specs, 2003);
+    const auto v = report.to_json();
+    EXPECT_EQ(v.find("schema")->as_string(), "degraded-run-report-v2");
+    EXPECT_EQ(v.find("ok")->as_u64(), 1u);
+    EXPECT_EQ(v.find("timed_out")->as_u64(), 1u);
+    ASSERT_EQ(report.outcomes.size(), 2u);
+    EXPECT_EQ(report.outcomes[0].status, config::RunStatus::kOk);
+    EXPECT_EQ(report.outcomes[1].status, config::RunStatus::kTimedOut);
+    const auto& dump = report.outcomes[1].flight_recording;  // at() throws
+    EXPECT_EQ(dump.at("schema").as_string(), "flight-recorder-v1");
+    EXPECT_FALSE(dump.at("events").items().empty());
+    wire.emplace_back();
+    for (const auto& o : report.outcomes) wire.back() += o.to_full_json().dump();
+
+    auto broken = spec_of("fig7");
+    broken.probe = "no-such-probe";
+    try {
+      (void)runner.run_batch({specs[1], broken}, 2003);
+      ADD_FAILURE() << "run_batch did not throw at " << jobs << " lanes";
+    } catch (const config::ScenarioTimeout& e) {
+      errors.emplace_back(e.what());
+    }
+  }
+  EXPECT_TRUE(wire.at(0) == wire.at(1)) << "one lane and two disagree";
+  EXPECT_NE(errors.at(0).find("'faults-storm-shielded': exceeded the event"),
+            std::string::npos)
+      << errors[0];
+  EXPECT_EQ(errors.at(0), errors.at(1));
 }

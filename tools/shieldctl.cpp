@@ -4,8 +4,9 @@
 //   shieldctl describe <scenario>       print a scenario's spec JSON + digest
 //   shieldctl run <scenario>... [--jobs N] [--json] [--smoke]
 //   shieldctl run --all [--jobs N] [--json] [--smoke]
-//                                       run scenarios (in parallel with
-//                                       --jobs), print figures or JSON
+//                                       run scenarios (on worker processes
+//                                       with --jobs 2 or more), print
+//                                       figures or JSON
 //   shieldctl stat <scenario>           run one scenario with telemetry on
 //                                       and print its telemetry-v1 document
 //                                       (or, with --prom, Prometheus text)
@@ -24,6 +25,9 @@
 // stat, trace and blame run the scenario at the seed `run` and the figure
 // benches give it, so they explain the run those print.
 // tools/report.py renders their documents as text.
+#include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,6 +39,7 @@
 
 #include "config/experiment.h"
 #include "config/journal.h"
+#include "config/option_value.h"
 #include "config/scenario_runner.h"
 #include "config/supervisor.h"
 #include "config/telemetry_export.h"
@@ -62,7 +67,9 @@ void usage(const char* argv0, std::FILE* to) {
       "  %s demo [--seconds S] [--seed N]\n"
       "  %s inspect [--seconds S] [--seed N]\n"
       "run options:\n"
-      "  --jobs N        worker threads (default: all cores)\n"
+      "  --jobs N        lanes (default: all cores): 1 runs in-process, 2 or\n"
+      "                  more crash-isolated on that many supervised worker\n"
+      "                  processes, at most one per scenario\n"
       "  --seed N        root RNG seed (default 2003; per-scenario seeds\n"
       "                  derive from it by name)\n"
       "  --scale X       multiply sample counts / fixed horizons by X\n"
@@ -90,12 +97,10 @@ void usage(const char* argv0, std::FILE* to) {
       "                  in-flight ones; also writes DIR/merged.json, which\n"
       "                  is byte-identical whether or not the campaign was\n"
       "                  interrupted and resumed\n"
-      "  --workers N     run the batch under a supervisor across N worker\n"
-      "                  processes (crash isolation; 0 = in-process)\n"
-      "  --max-respawns N  worker deaths one spec may cause before it is\n"
-      "                  quarantined as crashed/hung (default 2)\n"
-      "  --hang-timeout S  declare a silent worker hung after S seconds and\n"
-      "                  SIGKILL it (default: no hang detection)\n"
+      "  --max-respawns N  worker lanes: deaths one spec may cause before it\n"
+      "                  is quarantined as crashed/hung (default 2)\n"
+      "  --hang-timeout S  worker lanes: declare a silent worker hung after S\n"
+      "                  seconds and SIGKILL it (default: no hang detection)\n"
       "  --flight-dump M attach the flight-recorder ring to successful\n"
       "                  outcomes too (M = full: the whole ring at run end;\n"
       "                  M = worst: the window around the worst observed\n"
@@ -141,19 +146,49 @@ struct RunArgs {
   std::string mechanism;  ///< empty = leave each spec's own mechanism
   std::vector<std::string> spec_json;  ///< extra spec files to append
   std::string journal_dir;             ///< empty = no journal
-  int workers = 0;                     ///< 0 = in-process batch
   int max_respawns = 2;
   double hang_timeout_s = 0.0;
   std::string flight_dump;  ///< "", "full" or "worst"
 };
 
+/// The value after option argv[i], advancing i; exits 2 when it is missing.
+const char* option_value(int argc, char** argv, int& i) {
+  if (i + 1 >= argc) {
+    bad_arg(argv, (std::string("missing value for ") + argv[i]).c_str());
+  }
+  return argv[++i];
+}
+
+/// Option argv[i]'s value, advancing i, as a whole unsigned integer no
+/// greater than `max` (count_value) or a whole finite real, above 0 when
+/// `positive` and at least 0 otherwise (real_value): config/option_value.h.
+/// A bad value exits 2 naming the option.
+std::uint64_t count_value(int argc, char** argv, int& i,
+                          std::uint64_t max = UINT64_MAX) {
+  const std::string name = argv[i];
+  const char* text = option_value(argc, argv, i);
+  const auto v = config::parse_count(text, max);
+  if (!v) {
+    bad_arg(argv, (name + " expects an unsigned integer, got '" + text + "'")
+                      .c_str());
+  }
+  return *v;
+}
+
+double real_value(int argc, char** argv, int& i, bool positive) {
+  const std::string name = argv[i];
+  const char* text = option_value(argc, argv, i);
+  const auto v = config::parse_real(text, positive);
+  const std::string kind = positive ? "a positive" : "a non-negative";
+  if (!v) {
+    bad_arg(argv, (name + " expects " + kind + " number, got '" + text + "'")
+                      .c_str());
+  }
+  return *v;
+}
+
 RunArgs parse_run(int argc, char** argv, int from) {
   RunArgs a;
-  const auto need_value = [&](int i) {
-    if (i + 1 >= argc) {
-      bad_arg(argv, (std::string("missing value for ") + argv[i]).c_str());
-    }
-  };
   for (int i = from; i < argc; ++i) {
     if (std::strcmp(argv[i], "--all") == 0) {
       a.all = true;
@@ -162,52 +197,37 @@ RunArgs parse_run(int argc, char** argv, int from) {
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       a.scale = 0.01;
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      need_value(i);
-      a.seed = std::strtoull(argv[++i], nullptr, 10);
+      a.seed = count_value(argc, argv, i);
     } else if (std::strcmp(argv[i], "--scale") == 0) {
-      need_value(i);
-      a.scale = std::strtod(argv[++i], nullptr);
+      a.scale = real_value(argc, argv, i, true);
     } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      need_value(i);
-      a.jobs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
+      a.jobs = static_cast<unsigned>(count_value(argc, argv, i, UINT_MAX));
     } else if (std::strcmp(argv[i], "--report") == 0) {
-      need_value(i);
-      a.report_path = argv[++i];
+      a.report_path = option_value(argc, argv, i);
     } else if (std::strcmp(argv[i], "--telemetry") == 0) {
       a.telemetry = true;
     } else if (std::strcmp(argv[i], "--mechanism") == 0) {
-      need_value(i);
-      a.mechanism = argv[++i];
+      a.mechanism = option_value(argc, argv, i);
       if (a.mechanism != "inband" && a.mechanism != "oob") {
         bad_arg(argv, "--mechanism expects 'inband' or 'oob'");
       }
     } else if (std::strcmp(argv[i], "--max-events") == 0) {
-      need_value(i);
-      a.max_events = std::strtoull(argv[++i], nullptr, 10);
+      a.max_events = count_value(argc, argv, i);
     } else if (std::strcmp(argv[i], "--wall-limit") == 0) {
-      need_value(i);
-      a.wall_limit_s = std::strtod(argv[++i], nullptr);
+      a.wall_limit_s = real_value(argc, argv, i, false);
     } else if (std::strcmp(argv[i], "--no-prefix") == 0) {
       // No effect: every run is cold. Still accepted because perfbench's
       // stress-long store campaign, frozen with the benchmark, passes it.
     } else if (std::strcmp(argv[i], "--spec-json") == 0) {
-      need_value(i);
-      a.spec_json.emplace_back(argv[++i]);
+      a.spec_json.emplace_back(option_value(argc, argv, i));
     } else if (std::strcmp(argv[i], "--journal") == 0) {
-      need_value(i);
-      a.journal_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--workers") == 0) {
-      need_value(i);
-      a.workers = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      a.journal_dir = option_value(argc, argv, i);
     } else if (std::strcmp(argv[i], "--max-respawns") == 0) {
-      need_value(i);
-      a.max_respawns = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      a.max_respawns = static_cast<int>(count_value(argc, argv, i, INT_MAX));
     } else if (std::strcmp(argv[i], "--hang-timeout") == 0) {
-      need_value(i);
-      a.hang_timeout_s = std::strtod(argv[++i], nullptr);
+      a.hang_timeout_s = real_value(argc, argv, i, false);
     } else if (std::strcmp(argv[i], "--flight-dump") == 0) {
-      need_value(i);
-      a.flight_dump = argv[++i];
+      a.flight_dump = option_value(argc, argv, i);
       if (a.flight_dump != "full" && a.flight_dump != "worst") {
         bad_arg(argv, "--flight-dump expects 'full' or 'worst'");
       }
@@ -325,7 +345,6 @@ int cmd_run(const RunArgs& a) {
   }
 
   config::ScenarioRunner::Options ro;
-  ro.jobs = a.jobs;
   ro.scale = a.scale;
   ro.max_events = a.max_events;
   ro.wall_limit_s = a.wall_limit_s;
@@ -369,6 +388,11 @@ int cmd_run(const RunArgs& a) {
   for (std::size_t i = 0; i < specs.size(); ++i) {
     if (!adoption.outcomes[i]) pending.push_back(specs[i]);
   }
+  config::Supervisor::Options so;
+  so.workers = config::batch_workers(a.jobs);
+  so.max_respawns = a.max_respawns;
+  so.hang_timeout_s = a.hang_timeout_s;
+  so.runner = ro;
 
   if (!a.json) {
     std::printf("running %zu scenario%s (seed %llu, scale %g)...\n",
@@ -381,10 +405,12 @@ int cmd_run(const RunArgs& a) {
           adoption.adopted, adoption.adopted == 1 ? "" : "s",
           adoption.requeued, pending.size());
     }
-    if (a.workers > 0 && !pending.empty()) {
-      std::printf("supervising %zu spec%s across %d worker process%s\n",
-                  pending.size(), pending.size() == 1 ? "" : "s", a.workers,
-                  a.workers == 1 ? "" : "es");
+    if (so.workers > 0 && !pending.empty()) {
+      const std::size_t lanes =
+          std::min(pending.size(), static_cast<std::size_t>(so.workers));
+      std::printf("supervising %zu spec%s across %zu worker process%s\n",
+                  pending.size(), pending.size() == 1 ? "" : "s", lanes,
+                  lanes == 1 ? "" : "es");
     }
   }
 
@@ -392,30 +418,7 @@ int cmd_run(const RunArgs& a) {
   // outcome and the rest of the batch still runs to completion.
   config::BatchReport fresh;
   if (!pending.empty()) {
-    if (a.workers > 0) {
-      config::Supervisor::Options so;
-      so.workers = a.workers;
-      so.max_respawns = a.max_respawns;
-      so.hang_timeout_s = a.hang_timeout_s;
-      so.runner = ro;
-      config::Supervisor sup(so);
-      fresh = sup.run(pending, a.seed, journal.get());
-    } else {
-      config::ScenarioRunner runner(ro);
-      config::ScenarioRunner::BatchObserver obs;
-      if (journal) {
-        obs.started = [&](std::size_t, const config::ScenarioSpec& s,
-                          std::uint64_t seed) {
-          journal->write_start(s.name, s.digest(), seed);
-        };
-        obs.finished = [&](std::size_t, const config::ScenarioSpec& s,
-                           const config::RunOutcome& out) {
-          journal->write_done(s.name, s.digest(), config::batch_seed(a.seed, s),
-                              out);
-        };
-      }
-      fresh = runner.run_batch_report(pending, a.seed, obs);
-    }
+    fresh = config::Supervisor(so).run(pending, a.seed, journal.get());
   }
 
   // Stitch adopted and freshly-run outcomes back into spec order.
@@ -562,28 +565,22 @@ struct ObserveArgs {
 ObserveArgs parse_observe(int argc, char** argv) {
   ObserveArgs a;
   a.cmd = argv[1];
-  const auto value = [&](int& i) {
-    if (i + 1 >= argc) {
-      bad_arg(argv, (std::string("missing value for ") + argv[i]).c_str());
-    }
-    return argv[++i];
-  };
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--seed") {
-      a.seed = std::strtoull(value(i), nullptr, 10);
+      a.seed = count_value(argc, argv, i);
     } else if (arg == "--scale") {
-      a.scale = std::strtod(value(i), nullptr);
+      a.scale = real_value(argc, argv, i, true);
     } else if (arg == "--smoke") {
       a.scale = 0.01;
     } else if (a.cmd == "stat" && arg == "--prom") {
       a.prom = true;
     } else if (a.cmd == "trace" && arg == "--out") {
-      a.out = value(i);
+      a.out = option_value(argc, argv, i);
     } else if (a.cmd == "blame" && arg == "--worst") {
-      a.worst = static_cast<int>(std::strtol(value(i), nullptr, 10));
+      a.worst = static_cast<int>(count_value(argc, argv, i, INT_MAX));
     } else if (a.cmd == "blame" && arg == "--threshold") {
-      a.threshold = std::strtoull(value(i), nullptr, 10);
+      a.threshold = count_value(argc, argv, i);
     } else if (arg[0] == '-') {
       bad_arg(argv,
               ("unknown " + a.cmd + " option '" + arg + "'").c_str());
@@ -738,10 +735,10 @@ struct Args {
   static Args parse(int argc, char** argv, int from) {
     Args a;
     for (int i = from; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-        a.seed = std::strtoull(argv[++i], nullptr, 10);
-      } else if (std::strcmp(argv[i], "--seconds") == 0 && i + 1 < argc) {
-        a.seconds = std::strtod(argv[++i], nullptr);
+      if (std::strcmp(argv[i], "--seed") == 0) {
+        a.seed = count_value(argc, argv, i);
+      } else if (std::strcmp(argv[i], "--seconds") == 0) {
+        a.seconds = real_value(argc, argv, i, true);
       } else {
         bad_arg(argv,
                 (std::string("unknown option '") + argv[i] + "'").c_str());

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# Tier-1 verify flow, three builds: the plain build + tests + the
+# Tier-1 verify flow, two builds: the plain build + tests + the
 # benchmark's own unit tests + end-to-end CLI smokes (registry, telemetry,
 # reporters, trace export, blame, campaigns and their resume, chaos and
-# hostile-store gates), then the same tests under
-# ASan+UBSan so the calendar's slot reuse and the threaded bench
-# SweepRunner stay sanitizer-clean, then ThreadSanitizer over the
-# concurrency-bearing suites.
+# hostile-store gates), then the same tests under ASan+UBSan so the
+# calendar's slot reuse and the worker processes stay sanitizer-clean.
+# Nothing starts a thread (worker processes are the only parallelism), so
+# there is no ThreadSanitizer build.
 # ASan aborts on the first finding (-fno-sanitize-recover=all), so any
 # sanitizer hit fails its test and set -e stops the script there.
 set -euo pipefail
@@ -21,10 +21,10 @@ ctest --preset default
 # host scale, metric names, and BENCHMARK.json against what run.py prints.
 python3 perfbench/test_perfbench.py
 
-# Whole-registry smoke: every built-in scenario through the parallel
-# ScenarioRunner at 1% scale. Exits nonzero when any scenario misses its
-# sample target, so registry rot (bad spec, broken preset token) fails
-# verify even though no unit test names that scenario. One answer per
+# Whole-registry smoke: every built-in scenario on worker lanes at 1%
+# scale. Exits nonzero when any scenario misses its sample target, so
+# registry rot (bad spec, broken preset token) fails verify even though no
+# unit test names that scenario. One answer per
 # (spec, seed): --no-prefix is accepted and ignored, so the registry prints
 # the same bytes with and without it.
 tmpdir="$(mktemp -d)"
@@ -68,27 +68,6 @@ assert dump["schema"] == "flight-recorder-v1", dump
 assert dump["events"], "flight dump has no events"
 EOF
 
-# Degradation inside one batch: two specs with the same machine, kernel and
-# workloads, with an event budget between their costs, so the first run
-# completes and the second hits the watchdog. The timed-out outcome must
-# carry its own flight recording.
-./build/tools/shieldctl run abl-shield-full faults-storm-shielded --smoke \
-  --max-events 100000 --report "${tmpdir}/fork-timeout-report.json" \
-  > /dev/null 2>&1 && {
-    echo "verify: watchdogged batch unexpectedly exited 0"; exit 1; } || true
-python3 - "${tmpdir}/fork-timeout-report.json" <<'EOF'
-import json, sys
-report = json.load(open(sys.argv[1]))
-assert report["schema"] == "degraded-run-report-v2", report
-assert report["timed_out"] == 1 and report["ok"] == 1, report
-by_name = {o["name"]: o for o in report["outcomes"]}
-assert by_name["abl-shield-full"]["status"] == "ok", by_name
-doomed = by_name["faults-storm-shielded"]
-assert doomed["status"] == "timed_out", doomed
-dump = doomed["flight_recording"]
-assert dump["schema"] == "flight-recorder-v1", dump
-assert dump["events"], "the timed-out run's flight dump has no events"
-EOF
 # Out-of-band delivery smoke: the whole faults-* family re-run with the
 # oob mechanism forced on through the CLI. The rival mechanism must survive
 # every hostile fault plan (storms, SMI stalls, lost/duplicated edges,
@@ -183,7 +162,10 @@ for spec in mech-rtc-oob mech-rcim-oob mech-cyclic-oob mech-storm-oob \
 done
 
 # stat, trace and blame each take only their own options: one meant for
-# another of them exits 2 with the usage instead of being ignored.
+# another of them exits 2 with the usage instead of being ignored. So does
+# --workers, gone with the thread pool (--jobs N counts worker processes),
+# and a numeric value that is not wholly a number of the option's kind;
+# each exits at parse time and starts nothing, benches included.
 rejects_option() {  # rejects_option ARGS...: shieldctl ARGS exits 2
   local rc=0
   ./build/tools/shieldctl "$@" > /dev/null 2>&1 || rc=$?
@@ -197,6 +179,15 @@ rejects_option trace fig2 --smoke --worst 1 --threshold 5 \
 rejects_option stat fig2 --smoke --out "${tmpdir}/y.json"
 test ! -e "${tmpdir}/x.json" && test ! -e "${tmpdir}/t.json" &&
   test ! -e "${tmpdir}/y.json"
+rejects_option run fig2 --smoke --workers 2
+rejects_option run fig2 --smoke --seed abc
+rejects_option run fig2 --scale 1x
+rejects_option run fig2 --smoke --jobs -1
+rejects_option blame fig2 --smoke --worst abc
+rejects_option demo --seconds abc
+bench_rc=0
+./build/bench/fig7_rcim_response --seed abc > /dev/null 2>&1 || bench_rc=$?
+test "${bench_rc}" -eq 2
 
 # Blame: the storm scenario's attribution document must fully partition
 # every worst sample (cause nanoseconds sum exactly to the sample total)
@@ -409,9 +400,9 @@ mixed_resume "${tmpdir}/camp-v1"
 grep -q "campaign-journal-v1" "${tmpdir}/mixed-err.txt"
 
 # Write-ahead journal, resumability and the chaos gate. Baseline: one
-# uninterrupted supervised campaign over the whole registry.
+# uninterrupted campaign over the whole registry on two worker lanes.
 rm -rf "${tmpdir}/camp-base" "${tmpdir}/camp-kill" "${tmpdir}/camp-wkill"
-./build/tools/shieldctl run --all --smoke --workers 2 \
+./build/tools/shieldctl run --all --smoke --jobs 2 \
   --journal "${tmpdir}/camp-base" > /dev/null
 test -s "${tmpdir}/camp-base/merged.json"
 
@@ -419,20 +410,20 @@ test -s "${tmpdir}/camp-base/merged.json"
 # journal must survive the ungraceful death (torn tail line at worst) and
 # the resumed campaign's merged output must be byte-identical to the
 # uninterrupted baseline's.
-./build/tools/shieldctl run --all --smoke --workers 2 \
+./build/tools/shieldctl run --all --smoke --jobs 2 \
   --journal "${tmpdir}/camp-kill" > /dev/null 2>&1 &
 campaign_pid=$!
 sleep 0.3
 kill -9 "${campaign_pid}" 2>/dev/null || true
 wait "${campaign_pid}" 2>/dev/null || true
-./build/tools/shieldctl run --all --smoke --workers 2 \
+./build/tools/shieldctl run --all --smoke --jobs 2 \
   --journal "${tmpdir}/camp-kill" > /dev/null
 cmp "${tmpdir}/camp-kill/merged.json" "${tmpdir}/camp-base/merged.json"
 
 # Chaos 2: SIGKILL a *worker* mid-campaign while the supervisor lives. The
 # supervisor must detect the death, respawn, re-queue the in-flight spec
 # and finish with exit 0 — and the merged output is again byte-identical.
-./build/tools/shieldctl run --all --smoke --workers 2 \
+./build/tools/shieldctl run --all --smoke --jobs 2 \
   --journal "${tmpdir}/camp-wkill" > /dev/null 2>&1 &
 campaign_pid=$!
 for _ in 1 2 3 4 5; do
@@ -447,9 +438,10 @@ cmp "${tmpdir}/camp-wkill/merged.json" "${tmpdir}/camp-base/merged.json"
 # Chaos 3: a spec whose worker deliberately crashes (tests/data fixture).
 # With respawns allowed the campaign completes ok and the report attributes
 # the crash; with respawns forbidden the spec is quarantined as crashed,
-# with signal-level taxonomy, and the run exits nonzero.
+# with signal-level taxonomy, and the run exits nonzero. Two lanes over the
+# one spec still get one isolated worker.
 ./build/tools/shieldctl run --spec-json tests/data/chaos_host_crash.json \
-  --workers 2 --report "${tmpdir}/chaos-ok-report.json" > /dev/null 2>&1
+  --jobs 2 --report "${tmpdir}/chaos-ok-report.json" > /dev/null 2>&1
 python3 - "${tmpdir}/chaos-ok-report.json" <<'EOF'
 import json, sys
 report = json.load(open(sys.argv[1]))
@@ -459,7 +451,7 @@ assert sup["worker_crashes"] >= 1 and sup["respawns"] >= 1, sup
 assert any(i.get("type") == "host-fault" for i in sup["incidents"]), sup
 EOF
 if ./build/tools/shieldctl run --spec-json tests/data/chaos_host_crash.json \
-    --workers 1 --max-respawns 0 \
+    --jobs 2 --max-respawns 0 \
     --report "${tmpdir}/chaos-quarantine-report.json" > /dev/null 2>&1; then
   echo "verify: quarantined campaign unexpectedly exited 0"; exit 1
 fi
@@ -540,12 +532,3 @@ report = json.load(open(sys.argv[1]))
 assert report["ok"] == report["total"] > 0, report
 EOF
 cmp "${tmpdir}/camp-hostile/merged.json" "${tmpdir}/hostile-baseline.json"
-
-# ThreadSanitizer pass over the concurrency-bearing layers: the parallel
-# runner/sweeper, the journal's locked writers and the supervisor (which
-# forks; die_after_fork=0 lets TSan tolerate the multi-threaded parent).
-cmake --preset tsan
-cmake --build --preset tsan -j "${jobs}"
-TSAN_OPTIONS="die_after_fork=0" ./build-tsan/tests/shieldsim_tests \
-  --gtest_filter='Supervisor.*:CampaignJournal.*:ScenarioRunner.*:SweepRunner.*' \
-  --gtest_brief=1
