@@ -13,15 +13,4 @@ Topology::Topology(int physical_cores, bool hyperthreading, double cpu_ghz)
   SIM_ASSERT(cpu_ghz > 0.0);
 }
 
-int Topology::core_of(CpuId cpu) const {
-  SIM_ASSERT(valid_cpu(cpu));
-  return hyperthreading_ ? cpu / 2 : cpu;
-}
-
-CpuId Topology::sibling_of(CpuId cpu) const {
-  SIM_ASSERT(valid_cpu(cpu));
-  if (!hyperthreading_) return -1;
-  return cpu ^ 1;
-}
-
 }  // namespace hw

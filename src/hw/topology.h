@@ -10,6 +10,7 @@
 
 #include "hw/cpu_mask.h"
 #include "hw/types.h"
+#include "sim/assert.h"
 
 namespace hw {
 
@@ -30,10 +31,17 @@ class Topology {
   }
 
   /// Physical core hosting a logical CPU.
-  [[nodiscard]] int core_of(CpuId cpu) const;
+  [[nodiscard]] int core_of(CpuId cpu) const {
+    SIM_ASSERT(valid_cpu(cpu));
+    return hyperthreading_ ? cpu / 2 : cpu;
+  }
 
   /// The other logical CPU on the same core, or -1 without HT.
-  [[nodiscard]] CpuId sibling_of(CpuId cpu) const;
+  [[nodiscard]] CpuId sibling_of(CpuId cpu) const {
+    SIM_ASSERT(valid_cpu(cpu));
+    if (!hyperthreading_) return -1;
+    return cpu ^ 1;
+  }
 
   [[nodiscard]] bool valid_cpu(CpuId cpu) const {
     return cpu >= 0 && cpu < logical_cpus_;

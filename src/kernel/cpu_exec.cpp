@@ -662,13 +662,13 @@ void Kernel::next_action(hw::CpuId cpu) {
   }
   if (auto* s = std::get_if<SyscallAction>(&action)) {
     t.in_syscall = true;
-    // Wrap with the fixed entry/exit path costs.
-    KernelProgram prog;
-    prog.reserve(s->program.size() + 2);
-    prog.push_back(OpWork{cfg_.syscall_entry_cost, 0.3});
-    for (auto& op : s->program) prog.push_back(std::move(op));
-    prog.push_back(OpWork{cfg_.syscall_exit_cost, 0.3});
-    t.program = std::move(prog);
+    // Wrap with the fixed entry/exit path costs, built into the task's own
+    // buffer so its capacity carries from one syscall to the next.
+    t.program.clear();
+    t.program.reserve(s->program.size() + 2);
+    t.program.push_back(OpWork{cfg_.syscall_entry_cost, 0.3});
+    for (auto& op : s->program) t.program.push_back(std::move(op));
+    t.program.push_back(OpWork{cfg_.syscall_exit_cost, 0.3});
     t.pc = 0;
     run_program(cpu);
     return;

@@ -114,21 +114,6 @@ void Kernel::set_mechanism(MechanismKind kind) {
 
 Kernel::~Kernel() = default;
 
-CpuState& Kernel::cpu_mut(hw::CpuId id) {
-  SIM_ASSERT(topo_.valid_cpu(id));
-  return cpus_[static_cast<std::size_t>(id)];
-}
-
-const CpuState& Kernel::cpu(hw::CpuId id) const {
-  SIM_ASSERT(topo_.valid_cpu(id));
-  return cpus_[static_cast<std::size_t>(id)];
-}
-
-bool Kernel::cpu_busy(hw::CpuId id) const {
-  const CpuState& cs = cpu(id);
-  return cs.current != nullptr || !cs.irq_frames.empty() || cs.switching;
-}
-
 // ---- setup ------------------------------------------------------------------
 
 Task& Kernel::create_task(TaskParams params, std::unique_ptr<Behavior> behavior) {

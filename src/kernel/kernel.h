@@ -43,6 +43,7 @@
 #include "kernel/spinlock.h"
 #include "kernel/task.h"
 #include "kernel/wait_queue.h"
+#include "sim/assert.h"
 #include "sim/engine.h"
 
 namespace telemetry {
@@ -267,9 +268,15 @@ class Kernel {
 
   // ---- introspection ----------------------------------------------------------
 
-  [[nodiscard]] const CpuState& cpu(hw::CpuId id) const;
+  [[nodiscard]] const CpuState& cpu(hw::CpuId id) const {
+    SIM_ASSERT(topo_.valid_cpu(id));
+    return cpus_[static_cast<std::size_t>(id)];
+  }
   [[nodiscard]] int ncpus() const { return topo_.logical_cpus(); }
-  [[nodiscard]] bool cpu_busy(hw::CpuId id) const;
+  [[nodiscard]] bool cpu_busy(hw::CpuId id) const {
+    const CpuState& cs = cpu(id);
+    return cs.current != nullptr || !cs.irq_frames.empty() || cs.switching;
+  }
   [[nodiscard]] bool cpu_idle(hw::CpuId id) const { return !cpu_busy(id); }
   [[nodiscard]] const std::vector<std::unique_ptr<Task>>& tasks() const {
     return tasks_;
@@ -305,7 +312,10 @@ class Kernel {
   void local_timer_tick(hw::CpuId cpu);
   void preempt_enable_check(hw::CpuId cpu);
   [[nodiscard]] bool kernel_preemptible(const Task& t) const;
-  CpuState& cpu_mut(hw::CpuId id);
+  CpuState& cpu_mut(hw::CpuId id) {
+    SIM_ASSERT(topo_.valid_cpu(id));
+    return cpus_[static_cast<std::size_t>(id)];
+  }
   void account_segment(hw::CpuId cpu, sim::Duration elapsed);
   void wake_task(Task& t);
   /// Adjust per-CPU interrupt masking depth; auditor hooks fire on the

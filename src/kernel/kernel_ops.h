@@ -98,6 +98,11 @@ using KernelProgram = std::vector<KernelOp>;
 ///   ProgramBuilder{}.work(2_us).lock(LockId::kFs).work(hold).unlock(...)
 class ProgramBuilder {
  public:
+  /// Reserves room for the longest syscall path the builtin registry builds
+  /// (15 ops), so building one costs a single allocation instead of one
+  /// per doubling.
+  ProgramBuilder() { ops_.reserve(kReserve); }
+
   ProgramBuilder& work(sim::Duration d, double mem = 0.35) {
     ops_.push_back(OpWork{d, mem});
     return *this;
@@ -138,6 +143,8 @@ class ProgramBuilder {
   [[nodiscard]] const KernelProgram& ops() const { return ops_; }
 
  private:
+  static constexpr std::size_t kReserve = 16;
+
   KernelProgram ops_;
 };
 

@@ -1,6 +1,7 @@
 #include "kernel/o1_scheduler.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/assert.h"
 
@@ -20,7 +21,9 @@ void O1Scheduler::enqueue(Task& t, hw::CpuId cpu) {
   SIM_ASSERT(!t.on_runqueue);
   SIM_ASSERT(cpu >= 0 && static_cast<std::size_t>(cpu) < queues_.size());
   auto& rq = queues_[static_cast<std::size_t>(cpu)];
-  rq.active[static_cast<std::size_t>(prio_slot(t))].push_back(&t);
+  const auto slot = static_cast<std::size_t>(prio_slot(t));
+  rq.active[slot].push_back(&t);
+  rq.bitmap[slot / 64] |= std::uint64_t{1} << (slot % 64);
   rq.nr++;
   t.on_runqueue = true;
   queue_of_[&t] = cpu;
@@ -31,28 +34,41 @@ void O1Scheduler::dequeue(Task& t) {
   const auto it = queue_of_.find(&t);
   SIM_ASSERT(it != queue_of_.end());
   auto& rq = queues_[static_cast<std::size_t>(it->second)];
-  auto& level = rq.active[static_cast<std::size_t>(prio_slot(t))];
+  const auto slot = static_cast<std::size_t>(prio_slot(t));
+  auto& level = rq.active[slot];
   const auto size_before = level.size();
   std::erase(level, &t);
   SIM_ASSERT(level.size() + 1 == size_before);
+  if (level.empty()) rq.bitmap[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
   rq.nr--;
   t.on_runqueue = false;
   queue_of_.erase(it);
 }
 
 Task* O1Scheduler::pick_next(hw::CpuId cpu) {
-  auto& rq = queues_[static_cast<std::size_t>(cpu)];
-  for (auto& level : rq.active) {
-    for (Task* t : level) {
-      if (!t->effective_affinity.test(cpu)) continue;
-      std::erase(level, t);
+  Task* t = take_first_allowed(queues_[static_cast<std::size_t>(cpu)], cpu);
+  return t != nullptr ? t : steal_for(cpu);
+}
+
+Task* O1Scheduler::take_first_allowed(Runqueue& rq, hw::CpuId cpu) {
+  for (std::size_t w = 0; w < kBitmapWords; ++w) {
+    for (std::uint64_t bits = rq.bitmap[w]; bits != 0; bits &= bits - 1) {
+      const auto bit = static_cast<std::size_t>(std::countr_zero(bits));
+      auto& level = rq.active[w * 64 + bit];
+      const auto it = std::find_if(level.begin(), level.end(), [cpu](Task* t) {
+        return t->effective_affinity.test(cpu);
+      });
+      if (it == level.end()) continue;
+      Task* t = *it;
+      level.erase(it);
+      if (level.empty()) rq.bitmap[w] &= ~(std::uint64_t{1} << bit);
       rq.nr--;
       t->on_runqueue = false;
       queue_of_.erase(t);
       return t;
     }
   }
-  return steal_for(cpu);
+  return nullptr;
 }
 
 Task* O1Scheduler::steal_for(hw::CpuId cpu) {
@@ -67,19 +83,9 @@ Task* O1Scheduler::steal_for(hw::CpuId cpu) {
     }
   }
   if (busiest < 0) return nullptr;
-  auto& rq = queues_[static_cast<std::size_t>(busiest)];
-  for (auto& level : rq.active) {
-    for (Task* t : level) {
-      if (!t->effective_affinity.test(cpu)) continue;
-      std::erase(level, t);
-      rq.nr--;
-      t->on_runqueue = false;
-      queue_of_.erase(t);
-      t->migrations++;
-      return t;
-    }
-  }
-  return nullptr;
+  Task* t = take_first_allowed(queues_[static_cast<std::size_t>(busiest)], cpu);
+  if (t != nullptr) t->migrations++;
+  return t;
 }
 
 sim::Duration O1Scheduler::pick_cost(hw::CpuId /*cpu*/) {

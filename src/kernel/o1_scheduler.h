@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <deque>
 #include <unordered_map>
 #include <vector>
@@ -41,12 +42,20 @@ class O1Scheduler final : public Scheduler {
   [[nodiscard]] static int prio_slot(const Task& t);
 
  private:
+  static constexpr std::size_t kBitmapWords = (kPrioLevels + 63) / 64;
+
   struct Runqueue {
     std::array<std::deque<Task*>, kPrioLevels> active;
+    /// Bit s is set iff active[s] is non-empty (the kernel's find-first-set
+    /// priority bitmap).
+    std::array<std::uint64_t, kBitmapWords> bitmap{};
     std::size_t nr = 0;
   };
 
   Task* steal_for(hw::CpuId cpu);
+  /// Remove and return the first task in (slot, FIFO) order that may run on
+  /// `cpu`, visiting only non-empty levels; nullptr if none may.
+  Task* take_first_allowed(Runqueue& rq, hw::CpuId cpu);
 
   const config::KernelConfig& cfg_;
   sim::Rng rng_;

@@ -1,327 +1,104 @@
 #include "sim/event_queue.h"
 
-#include <algorithm>
-#include <bit>
-
 #include "sim/assert.h"
 
 namespace sim {
 
-std::uint32_t EventQueue::alloc_slot() {
-  if (!free_slots_.empty()) {
-    const std::uint32_t index = free_slots_.back();
-    free_slots_.pop_back();
-    return index;
-  }
-  SIM_ASSERT_MSG(slots_.size() < kMaxSlots, "event slab exceeds 2^24 slots");
-  slots_.emplace_back();
-  return static_cast<std::uint32_t>(slots_.size() - 1);
-}
-
-void EventQueue::release_slot(std::uint32_t index) {
-  Slot& s = slots_[index];
-  s.cb.reset();
-  s.live = false;
-  s.gen = (s.gen + 1) & kGenMask;
-  if (s.gen == 0) s.gen = 1;  // keep EventId.raw != 0 after wrap
-  free_slots_.push_back(index);
-}
-
 EventId EventQueue::schedule_at(Time at, Callback cb) {
-  const std::uint32_t index = alloc_slot();
-  Slot& s = slots_[index];
-  s.at = at;
-  s.seq = next_seq_++;
-  s.live = true;
-  s.cb = std::move(cb);
-  ++live_;
-  place(Key{at, s.seq, index});
-  return EventId{(std::uint64_t{index} << kGenBits) | s.gen};
-}
-
-void EventQueue::place(Key k) {
-  if (k.at < horizon_) {
-    near_.push_back(k);
-    std::push_heap(near_.begin(), near_.end(), KeyAfter{});
-    return;
+  std::uint32_t index = 0;
+  if (!free_slots_.empty()) {
+    index = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    SIM_ASSERT_MSG(slots_.size() < kMaxSlots, "event slab exceeds 2^24 slots");
+    index = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
   }
-  for (int l = 0; l < kLevels; ++l) {
-    const int shift = level_shift(l);
-    if ((k.at >> shift) - (horizon_ >> shift) < kBuckets) {
-      const auto idx = static_cast<std::size_t>((k.at >> shift) & kBucketMask);
-      buckets_[static_cast<std::size_t>(l) * kBuckets + idx].push_back(k.slot);
-      occupied_[static_cast<std::size_t>(l)] |= std::uint64_t{1} << idx;
-      return;
-    }
-  }
-  overflow_.push_back(k);
-  std::push_heap(overflow_.begin(), overflow_.end(), KeyAfter{});
+  slots_[index].cb = std::move(cb);
+  heap_.push_back(Key{at, next_seq_++, index});
+  sift_up(heap_.size() - 1);
+  return EventId{(std::uint64_t{index} << kGenBits) | slots_[index].gen};
 }
 
 bool EventQueue::cancel(EventId id) {
   if (!id.valid()) return false;
-  const auto index = static_cast<std::uint32_t>(id.raw >> kGenBits);
-  const std::uint64_t gen = id.raw & kGenMask;
+  const auto index = static_cast<std::size_t>(id.raw >> kGenBits);
   if (index >= slots_.size()) return false;
-  Slot& s = slots_[index];
-  if (s.gen != gen || !s.live) return false;
-  s.live = false;
-  s.cb.reset();  // release captures now; the tombstone is reclaimed later
-  --live_;
-  ++dead_;
-  maybe_compact();
+  const Slot& s = slots_[index];
+  if (s.gen != (id.raw & kGenMask) || s.pos == kFree) return false;
+  remove_at(s.pos);
   return true;
 }
 
-void EventQueue::drop_dead_near() {
-  while (ready_head_ < ready_.size() &&
-         !slots_[ready_[ready_head_].slot].live) {
-    release_slot(ready_[ready_head_].slot);
-    ++ready_head_;
-    --dead_;
-  }
-  while (!near_.empty() && !slots_[near_.front().slot].live) {
-    std::pop_heap(near_.begin(), near_.end(), KeyAfter{});
-    const std::uint32_t index = near_.back().slot;
-    near_.pop_back();
-    --dead_;
-    release_slot(index);
-  }
-}
-
-void EventQueue::refresh_near() {
-  drop_dead_near();
-  while (near_.empty() && ready_head_ == ready_.size()) {
-    SIM_ASSERT_MSG(live_ > 0, "refresh on empty calendar");
-    advance_window();
-    drop_dead_near();
-  }
-}
-
-/// Move every event of the overflow heap that now falls before horizon_
-/// into the near heap.
-void EventQueue::pull_overflow() {
-  while (!overflow_.empty() && overflow_.front().at < horizon_) {
-    std::pop_heap(overflow_.begin(), overflow_.end(), KeyAfter{});
-    const Key k = overflow_.back();
-    overflow_.pop_back();
-    if (!slots_[k.slot].live) {
-      --dead_;
-      release_slot(k.slot);
-      continue;
-    }
-    near_.push_back(k);
-    std::push_heap(near_.begin(), near_.end(), KeyAfter{});
-  }
-}
-
-void EventQueue::advance_window() {
-  // Find the earliest pending bucket across the wheel levels. On equal
-  // start times the *highest* level must go first: its (coarser) bucket can
-  // contain events earlier than the end of the lower level's window.
-  int best_level = -1;
-  Time best_start = 0;
-  std::size_t best_idx = 0;
-  for (int l = 0; l < kLevels; ++l) {
-    const std::uint64_t bits = occupied_[static_cast<std::size_t>(l)];
-    if (bits == 0) continue;
-    const int shift = level_shift(l);
-    const std::uint64_t cursor = horizon_ >> shift;
-    const auto c = static_cast<int>(cursor & kBucketMask);
-    // All pending buckets lie within one lap ahead of the cursor, so the
-    // first set bit in circular order from it is the earliest.
-    const int j = std::countr_zero(std::rotr(bits, c));
-    const Time start = (cursor + static_cast<std::uint64_t>(j)) << shift;
-    if (best_level < 0 || start < best_start ||
-        (start == best_start && l > best_level)) {
-      best_level = l;
-      best_start = start;
-      best_idx = static_cast<std::size_t>((c + j) & static_cast<int>(kBucketMask));
-    }
-  }
-
-  const Time overflow_start =
-      overflow_.empty()
-          ? 0
-          : (overflow_.front().at >> kGranularityBits) << kGranularityBits;
-  SIM_ASSERT_MSG(best_level >= 0 || !overflow_.empty(),
-                 "advance on empty calendar");
-
-  if (!overflow_.empty() && (best_level < 0 || overflow_start < best_start)) {
-    // The wheel is empty this far out; jump the window to the overflow top.
-    horizon_ = overflow_start + kWindow;
-    pull_overflow();
-    return;
-  }
-
-  if (best_level == 0) {
-    // Drain the bucket into the ready lane: sorted once, then served by
-    // index. Only reached with the previous lane fully consumed.
-    horizon_ = best_start + kWindow;
-    std::vector<std::uint32_t>& bucket = buckets_[best_idx];
-    ready_.clear();
-    ready_head_ = 0;
-    for (const std::uint32_t index : bucket) {
-      const Slot& s = slots_[index];
-      if (!s.live) {
-        --dead_;
-        release_slot(index);
-        continue;
-      }
-      ready_.push_back(Key{s.at, s.seq, index});
-    }
-    bucket.clear();
-    occupied_[0] &= ~(std::uint64_t{1} << best_idx);
-    // Events are mostly scheduled in increasing time, so the bucket is
-    // usually already in order; the is_sorted scan is cheaper than sorting.
-    if (!std::is_sorted(ready_.begin(), ready_.end(), key_before)) {
-      std::sort(ready_.begin(), ready_.end(), key_before);
-    }
-    if (!overflow_.empty() && overflow_start == best_start) pull_overflow();
-    return;
-  }
-
-  // Cascade: redistribute the level's bucket one (or more) levels down.
-  // horizon_ is kWindow-aligned and only ever advances; every event in the
-  // bucket has at >= horizon_, so re-placing lands strictly below
-  // best_level and terminates.
-  horizon_ = std::max(horizon_, best_start);
-  std::vector<std::uint32_t>& bucket =
-      buckets_[static_cast<std::size_t>(best_level) * kBuckets + best_idx];
-  scratch_.swap(bucket);
-  occupied_[static_cast<std::size_t>(best_level)] &=
-      ~(std::uint64_t{1} << best_idx);
-  for (const std::uint32_t index : scratch_) {
-    const Slot& s = slots_[index];
-    if (!s.live) {
-      --dead_;
-      release_slot(index);
-      continue;
-    }
-    place(Key{s.at, s.seq, index});
-  }
-  scratch_.clear();
-}
-
-Time EventQueue::next_time() {
+Time EventQueue::next_time() const {
   SIM_ASSERT_MSG(!empty(), "next_time() on empty queue");
-  refresh_near();
-  if (ready_head_ == ready_.size()) return near_.front().at;
-  if (near_.empty() || key_before(ready_[ready_head_], near_.front())) {
-    return ready_[ready_head_].at;
-  }
-  return near_.front().at;
+  return heap_.front().at;
 }
 
 std::pair<Time, EventQueue::Callback> EventQueue::pop() {
   SIM_ASSERT_MSG(!empty(), "pop() on empty queue");
-  refresh_near();
-  Key k;
-  if (ready_head_ < ready_.size() &&
-      (near_.empty() || key_before(ready_[ready_head_], near_.front()))) {
-    k = ready_[ready_head_++];
-  } else {
-    std::pop_heap(near_.begin(), near_.end(), KeyAfter{});
-    k = near_.back();
-    near_.pop_back();
-  }
-  Slot& s = slots_[k.slot];
-  std::pair<Time, Callback> out{s.at, std::move(s.cb)};
-  --live_;
-  release_slot(k.slot);
+  std::pair<Time, Callback> out{heap_.front().at,
+                                std::move(slots_[heap_.front().slot].cb)};
+  remove_at(0);
   return out;
 }
 
 bool EventQueue::pop_before(Time deadline, Time& at, Callback& cb) {
-  if (empty()) return false;
-  refresh_near();
-  Key k;
-  const bool from_ready =
-      ready_head_ < ready_.size() &&
-      (near_.empty() || key_before(ready_[ready_head_], near_.front()));
-  if (from_ready) {
-    k = ready_[ready_head_];
-    if (k.at > deadline) return false;
-    ++ready_head_;
-  } else {
-    k = near_.front();
-    if (k.at > deadline) return false;
-    std::pop_heap(near_.begin(), near_.end(), KeyAfter{});
-    near_.pop_back();
-  }
-  Slot& s = slots_[k.slot];
-  at = s.at;
-  cb = std::move(s.cb);
-  --live_;
-  release_slot(k.slot);
+  if (heap_.empty() || heap_.front().at > deadline) return false;
+  at = heap_.front().at;
+  cb = std::move(slots_[heap_.front().slot].cb);
+  remove_at(0);
   return true;
 }
 
-void EventQueue::maybe_compact() {
-  if (dead_ > 64 && dead_ > live_) compact();
+void EventQueue::sift_up(std::size_t i) {
+  const Key k = heap_[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!before(k, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    slots_[heap_[i].slot].pos = static_cast<std::uint32_t>(i);
+    i = parent;
+  }
+  heap_[i] = k;
+  slots_[k.slot].pos = static_cast<std::uint32_t>(i);
 }
 
-/// Sweep every container, dropping tombstones and recycling their slots.
-/// Runs when tombstones outnumber live events, so a cancel-heavy run's
-/// memory stays proportional to its peak *live* event count — the old
-/// lazy-cancellation heap grew without bound until dead entries happened
-/// to surface at the top.
-void EventQueue::compact() {
-  const auto sweep_heap = [this](std::vector<Key>& heap) {
-    auto out = heap.begin();
-    for (const Key& k : heap) {
-      if (slots_[k.slot].live) {
-        *out++ = k;
-      } else {
-        --dead_;
-        release_slot(k.slot);
-      }
-    }
-    heap.erase(out, heap.end());
-    std::make_heap(heap.begin(), heap.end(), KeyAfter{});
-  };
-  sweep_heap(near_);
-  sweep_heap(overflow_);
-
-  {
-    auto keep = ready_.begin();
-    for (std::size_t i = ready_head_; i < ready_.size(); ++i) {
-      const Key& k = ready_[i];
-      if (slots_[k.slot].live) {
-        *keep++ = k;
-      } else {
-        --dead_;
-        release_slot(k.slot);
-      }
-    }
-    ready_.erase(keep, ready_.end());
-    ready_head_ = 0;
+void EventQueue::sift_down(std::size_t i) {
+  const Key k = heap_[i];
+  const std::size_t n = heap_.size();
+  while (true) {
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
+    if (!before(heap_[child], k)) break;
+    heap_[i] = heap_[child];
+    slots_[heap_[i].slot].pos = static_cast<std::uint32_t>(i);
+    i = child;
   }
+  heap_[i] = k;
+  slots_[k.slot].pos = static_cast<std::uint32_t>(i);
+}
 
-  for (int l = 0; l < kLevels; ++l) {
-    std::uint64_t bits = occupied_[static_cast<std::size_t>(l)];
-    occupied_[static_cast<std::size_t>(l)] = 0;
-    while (bits != 0) {
-      const auto idx = static_cast<std::size_t>(std::countr_zero(bits));
-      bits &= bits - 1;
-      std::vector<std::uint32_t>& bucket =
-          buckets_[static_cast<std::size_t>(l) * kBuckets + idx];
-      auto out = bucket.begin();
-      for (const std::uint32_t index : bucket) {
-        if (slots_[index].live) {
-          *out++ = index;
-        } else {
-          --dead_;
-          release_slot(index);
-        }
-      }
-      bucket.erase(out, bucket.end());
-      if (!bucket.empty()) {
-        occupied_[static_cast<std::size_t>(l)] |= std::uint64_t{1} << idx;
-      }
-    }
+void EventQueue::remove_at(std::size_t i) {
+  const std::uint32_t index = heap_[i].slot;
+  Slot& s = slots_[index];
+  s.cb.reset();  // release captures now (a no-op after a pop moved cb out)
+  s.pos = kFree;
+  s.gen = (s.gen + 1) & kGenMask;
+  if (s.gen == 0) s.gen = 1;  // keep EventId.raw != 0 after wrap
+  free_slots_.push_back(index);
+
+  const Key last = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) return;
+  // The last key fills the hole; it may belong above or below it.
+  heap_[i] = last;
+  if (i > 0 && before(last, heap_[(i - 1) / 2])) {
+    sift_up(i);
+  } else {
+    sift_down(i);
   }
-  SIM_ASSERT(dead_ == 0);
 }
 
 }  // namespace sim

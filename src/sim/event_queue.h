@@ -1,35 +1,20 @@
 // The discrete-event calendar.
 //
-// A hierarchical timing wheel. Events live in a slab of generation-tagged
-// slots; the wheel indexes them by expiry:
+// An indexed binary min-heap. Events live in a slab of generation-tagged
+// slots; the heap holds one 24-byte (time, seq, slot) key per live event,
+// and each slot records where its key sits in the heap. Schedule and pop
+// are O(log n) sifts over contiguous keys, and cancel removes its key at
+// once, also in O(log n): there are no tombstones, so memory follows the
+// peak live count exactly.
 //
-//   * `ready_`  — the current level-0 bucket, sorted once on drain and
-//                 consumed front to back. The common case pops from here
-//                 with no heap traffic at all.
-//   * `near_`   — a small binary min-heap for events scheduled *into* the
-//                 imminent window after it was drained (at < horizon_).
-//                 Pops take the earlier (time, seq) of the two fronts.
-//   * 5 wheel levels × 64 buckets — level 0 buckets are 2^10 ns (~1 µs)
-//                 wide; each level up is 64× coarser, covering ~18 minutes
-//                 in total. A per-level occupancy bitmap finds the next
-//                 pending bucket in O(1).
-//   * `overflow_` — a min-heap for events beyond the wheel span.
-//
-// When the near heap drains, the earliest pending bucket is either moved
-// into it (level 0) or cascaded one level down; `horizon_` advances to the
-// end of the new window. Since every event outside `near_` has
-// `at >= horizon_` and every event inside has `at < horizon_`, wheel
-// rotation never reorders events: the (time, seq) order of pops — and with
-// it bit-reproducible runs, same-timestamp events firing in insertion
-// order — is preserved exactly as with the old binary heap.
-//
-// Cancellation is O(1): the EventId carries (slot, generation); cancel
-// marks the slot dead and drops its callback, and the tombstone is
-// reclaimed when the wheel meets it — or by a compaction sweep when
-// tombstones outnumber live events, so cancel-heavy runs stay bounded.
+// The simulator keeps few events pending (never more than 11 over the
+// whole builtin registry at smoke scale; 3-8 for realfeel under
+// stress-kernel), so the heap is a handful of cache lines. Keys order by
+// (time, seq), a total order: equal-time events fire in insertion order,
+// and pops — and with them bit-reproducible runs — do not depend on slot
+// reuse or heap shape.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -65,102 +50,69 @@ class EventQueue {
   /// insertion order.
   EventId schedule_at(Time at, Callback cb);
 
-  /// Remove a pending event in O(1). Cancelling an already-fired or
+  /// Remove a pending event in O(log n). Cancelling an already-fired or
   /// already-cancelled event is a harmless no-op (returns false).
   bool cancel(EventId id);
 
   /// True if no live events remain.
-  [[nodiscard]] bool empty() const { return live_ == 0; }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
 
   /// Number of live (non-cancelled, non-fired) events.
-  [[nodiscard]] std::size_t size() const { return live_; }
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
   /// Timestamp of the next live event. Requires !empty().
-  [[nodiscard]] Time next_time();
+  [[nodiscard]] Time next_time() const;
 
   /// Pop and return the next live event. Requires !empty().
   std::pair<Time, Callback> pop();
 
   /// Pop the next live event only if it fires at or before `deadline`;
-  /// false (and no state change beyond tombstone reclamation) otherwise or
-  /// when the queue is empty. One lane refresh + one front comparison per
-  /// event where next_time() + pop() would do both twice — the engine's
-  /// run_until hot path.
+  /// false (and no state change) otherwise or when the queue is empty. One
+  /// front comparison per event where next_time() + pop() would do it
+  /// twice — the engine's run_until hot path.
   bool pop_before(Time deadline, Time& at, Callback& cb);
 
-  /// Number of event slots ever allocated (live + tombstoned + free).
-  /// Exposed so tests can assert cancel-heavy runs stay memory-bounded.
+  /// Number of event slots ever allocated (live + free). Exposed so tests
+  /// can assert cancel-heavy runs stay memory-bounded.
   [[nodiscard]] std::size_t slot_capacity() const { return slots_.size(); }
 
  private:
-  static constexpr int kGranularityBits = 10;  ///< level-0 bucket: 1024 ns
-  static constexpr int kBucketBits = 6;        ///< 64 buckets per level
-  static constexpr std::size_t kBuckets = std::size_t{1} << kBucketBits;
-  static constexpr int kLevels = 5;  ///< wheel span ~2^40 ns (~18 min)
-  static constexpr Time kWindow = Time{1} << kGranularityBits;
-  static constexpr std::uint64_t kBucketMask = kBuckets - 1;
-
-  static constexpr int level_shift(int level) {
-    return kGranularityBits + level * kBucketBits;
-  }
-
   /// EventId bit split: high 24 bits slot index, low 40 bits generation.
   static constexpr int kGenBits = 40;
   static constexpr std::uint64_t kGenMask = (std::uint64_t{1} << kGenBits) - 1;
   static constexpr std::size_t kMaxSlots = std::size_t{1} << (64 - kGenBits);
+  static constexpr std::uint32_t kFree = ~std::uint32_t{0};
 
   struct Slot {
-    Time at = 0;
-    std::uint64_t seq = 0;
-    std::uint64_t gen = 1;  ///< 40 usable bits (see kGenBits)
-    bool live = false;
     Callback cb;
+    std::uint64_t gen = 1;      ///< 40 usable bits (see kGenBits)
+    std::uint32_t pos = kFree;  ///< index of this slot's key in heap_
   };
 
-  /// Sort key mirrored out of the slot so heap ops touch 24 contiguous
-  /// bytes instead of whole slots.
+  /// Sort key mirrored out of the slot so sifts touch 24 contiguous bytes
+  /// instead of whole slots.
   struct Key {
     Time at;
     std::uint64_t seq;
     std::uint32_t slot;
   };
 
-  /// std::push_heap builds a max-heap; invert the comparison for min-heap.
-  struct KeyAfter {
-    bool operator()(const Key& a, const Key& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
-  static bool key_before(const Key& a, const Key& b) {
+  static bool before(const Key& a, const Key& b) {
     if (a.at != b.at) return a.at < b.at;
     return a.seq < b.seq;
   }
 
-  std::uint32_t alloc_slot();
-  void release_slot(std::uint32_t index);
-  void place(Key k);
-  void drop_dead_near();
-  void refresh_near();
-  void advance_window();
-  void pull_overflow();
-  void maybe_compact();
-  void compact();
+  /// Move the key at heap index `i` up or down to its place, recording the
+  /// new position of every key moved.
+  void sift_up(std::size_t i);
+  void sift_down(std::size_t i);
+  /// Take the key at heap index `i` out of the heap and free its slot.
+  void remove_at(std::size_t i);
 
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::vector<Key> ready_;       ///< drained bucket, sorted; served by index
-  std::size_t ready_head_ = 0;   ///< next unserved entry in ready_
-  std::vector<Key> near_;      ///< min-heap: events with at < horizon_
-  std::vector<Key> overflow_;  ///< min-heap: events beyond the wheel span
-  std::array<std::vector<std::uint32_t>, kLevels * kBuckets> buckets_;
-  std::array<std::uint64_t, kLevels> occupied_{};  ///< per-level bucket bitmap
-  std::vector<std::uint32_t> scratch_;  ///< reused cascade buffer
-  Time horizon_ = 0;  ///< events outside near_ all have at >= horizon_
+  std::vector<Key> heap_;
   std::uint64_t next_seq_ = 1;
-  std::size_t live_ = 0;
-  std::size_t dead_ = 0;  ///< tombstones not yet reclaimed
 };
 
 }  // namespace sim

@@ -5,9 +5,9 @@
 // object returns to exactly the address it occupied at capture time, so
 // interior pointers, vtables and captured closures remain valid without
 // any per-type serialization. That makes a snapshot of a warmed-up
-// Platform a complete engine checkpoint: event-queue wheel slots with
-// their generation tags and pending cancels, RNG streams, per-CPU kernel
-// state, device state and telemetry cells are all just bytes in the arena.
+// Platform a complete engine checkpoint: event-queue slots and heap keys
+// with their generation tags, RNG streams, per-CPU kernel state, device
+// state and telemetry cells are all just bytes in the arena.
 //
 // No simulation run forks from a snapshot. The layer stays because
 // perfbench's set-up probe, which is frozen with the benchmark, builds and

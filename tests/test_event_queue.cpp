@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <tuple>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -101,9 +102,9 @@ TEST(EventQueue, NextTimeSkipsCancelledPrefix) {
 
 namespace {
 
-/// The pre-timing-wheel implementation — a binary (time, seq) min-heap with
-/// a lazy-cancellation set — kept here as the ordering oracle for the
-/// randomized cross-check below.
+/// A plain (time, seq) min-heap with a lazy-cancellation set — the
+/// simplest correct calendar — kept as the ordering oracle for the
+/// randomized cross-checks below.
 class ReferenceQueue {
  public:
   std::uint64_t schedule_at(sim::Time at, int tag) {
@@ -158,10 +159,11 @@ class ReferenceQueue {
 
 }  // namespace
 
-// Property test: on randomized schedule/cancel/pop sequences the timing
-// wheel pops exactly the events the reference heap pops, at the same times,
-// in the same order. Offsets mix every wheel path: the near window, all
-// levels, the overflow heap, and (via zero offsets) the at-horizon edge.
+// Property test: on randomized schedule/cancel/pop sequences the calendar
+// pops exactly the events the reference heap pops, at the same times, in
+// the same order. Offsets span zero (equal-time FIFO against `now`) to
+// beyond 2^40 ns, and the live count grows into the thousands, so sifts
+// run over deep heaps as well as shallow ones.
 TEST(EventQueue, MatchesReferenceHeapOnRandomizedOps) {
   std::mt19937_64 rng(20030415);
   for (int round = 0; round < 10; ++round) {
@@ -172,15 +174,15 @@ TEST(EventQueue, MatchesReferenceHeapOnRandomizedOps) {
       std::uint64_t ref_seq;
     };
     std::vector<LiveEvent> live;
-    std::vector<int> popped;  // filled by wheel callbacks
+    std::vector<int> popped;  // filled by calendar callbacks
     sim::Time now = 0;
     int next_tag = 0;
 
     for (int op = 0; op < 20'000; ++op) {
       const auto dice = rng() % 100;
       if (dice < 55) {
-        // Schedule at now + an offset spanning from 0 ns to beyond the
-        // wheel's ~18-minute span, biased small like the simulator.
+        // Schedule at now + an offset spanning from 0 ns to past 2^40 ns
+        // (~18 minutes), biased small like the simulator.
         const int magnitude = static_cast<int>(rng() % 15);
         const sim::Time offset = rng() % (sim::Time{1} << magnitude * 3);
         const int tag = next_tag++;
@@ -220,10 +222,75 @@ TEST(EventQueue, MatchesReferenceHeapOnRandomizedOps) {
   }
 }
 
-// Regression for the unbounded-growth bug: the old lazy-cancellation heap
-// only reclaimed cancelled entries when they surfaced at the heap top, so a
-// schedule+cancel loop against far-future times grew the heap without
-// bound. Compaction must keep slot memory proportional to peak live count.
+// The same cross-check at the depth the simulator runs at: never more than
+// 16 live events, with cancels from the middle of the heap and pops from
+// its root (half of them through the engine's pop_before) doing most of
+// the work — the two paths that refill a hole with the last key.
+TEST(EventQueue, MatchesReferenceHeapAtSimulatorDepth) {
+  std::mt19937_64 rng(20031015);
+  EventQueue q;
+  ReferenceQueue ref;
+  struct Pending {
+    EventId id;
+    std::uint64_t ref_seq;
+    int tag;
+  };
+  std::vector<Pending> pending;
+  std::vector<int> popped;
+  sim::Time now = 0;
+  int next_tag = 0;
+  for (int op = 0; op < 200'000; ++op) {
+    const auto dice = rng() % 100;
+    if (pending.empty() || (dice < 50 && pending.size() < 16)) {
+      // A quarter land exactly at `now`, ties broken by insertion order.
+      const sim::Time at = now + (rng() % 4 == 0 ? 0 : rng() % 100'000);
+      const int tag = next_tag++;
+      pending.push_back(
+          Pending{q.schedule_at(at, [tag, &popped] { popped.push_back(tag); }),
+                  ref.schedule_at(at, tag), tag});
+    } else if (dice < 75) {
+      const std::size_t pick = rng() % pending.size();
+      const Pending victim = pending[pick];
+      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick));
+      ASSERT_TRUE(q.cancel(victim.id));
+      ASSERT_TRUE(ref.cancel(victim.ref_seq));
+      ASSERT_FALSE(q.cancel(victim.id));
+    } else {
+      const sim::Time first = ref.next_time();
+      ASSERT_EQ(q.next_time(), first);
+      sim::Time at = 0;
+      EventQueue::Callback cb;
+      if (dice % 2 == 0) {
+        // A deadline just short of the front must leave the queue alone.
+        if (first > now) {
+          ASSERT_FALSE(q.pop_before(first - 1, at, cb));
+        }
+        ASSERT_TRUE(q.pop_before(first, at, cb));
+      } else {
+        std::tie(at, cb) = q.pop();
+      }
+      const auto [ref_at, ref_tag] = ref.pop();
+      ASSERT_EQ(at, ref_at);
+      cb();
+      ASSERT_EQ(popped.back(), ref_tag);
+      std::erase_if(pending, [&](const Pending& p) { return p.tag == ref_tag; });
+      now = at;
+    }
+    ASSERT_LE(q.size(), 16u);
+    ASSERT_EQ(q.size(), ref.size());
+    ASSERT_EQ(q.size(), pending.size());
+    if (!q.empty()) {
+      ASSERT_EQ(q.next_time(), ref.next_time());
+    }
+  }
+  EXPECT_EQ(q.slot_capacity(), 16u);
+}
+
+// Regression for the unbounded-growth bug: a lazy-cancellation heap only
+// reclaims cancelled entries when they surface at the top, so a
+// schedule+cancel loop against far-future times grows it without bound.
+// Cancel removes its entry at once, so slot memory is exactly the peak
+// live count.
 TEST(EventQueue, MillionCancelsStayMemoryBounded) {
   EventQueue q;
   sim::Time t = 0;
@@ -233,8 +300,8 @@ TEST(EventQueue, MillionCancelsStayMemoryBounded) {
   }
   EXPECT_EQ(q.size(), 0u);
   EXPECT_TRUE(q.empty());
-  // Peak live count is 1; tombstones must be swept, not accumulated.
-  EXPECT_LT(q.slot_capacity(), 1024u);
+  // Peak live count is 1, and a cancelled slot is free for the next event.
+  EXPECT_EQ(q.slot_capacity(), 1u);
 }
 
 TEST(EventQueue, CancelHeavyChurnWithLiveBacklogStaysBounded) {
@@ -247,7 +314,8 @@ TEST(EventQueue, CancelHeavyChurnWithLiveBacklogStaysBounded) {
     ASSERT_TRUE(q.cancel(id));
   }
   EXPECT_EQ(q.size(), 10'000u);
-  EXPECT_LT(q.slot_capacity(), 64'000u);
+  // The backlog plus the one slot every schedule+cancel pair reuses.
+  EXPECT_EQ(q.slot_capacity(), 10'001u);
   for (const EventId id : backlog) EXPECT_TRUE(q.cancel(id));
   EXPECT_TRUE(q.empty());
 }
@@ -262,10 +330,9 @@ TEST(EventQueue, StaleIdCannotCancelRecycledSlot) {
   EXPECT_TRUE(q.cancel(second));
 }
 
-// The wheel spans 2^40 ns (level 4's window edge). Events on either side of
-// that boundary land in different structures — the top wheel level vs the
-// overflow heap — and must still fire strictly in (time, insertion) order.
-TEST(EventQueue, Level4SpanBoundaryScheduling) {
+// Events around 2^40 ns (~18 minutes), next to one near zero, must fire
+// strictly in (time, insertion) order however far apart they are.
+TEST(EventQueue, FarFutureTimesKeepTimeAndInsertionOrder) {
   EventQueue q;
   const sim::Time span = sim::Time{1} << 40;
   std::vector<int> order;
@@ -278,11 +345,10 @@ TEST(EventQueue, Level4SpanBoundaryScheduling) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 5, 4}));
 }
 
-// Events beyond the wheel span sit in the overflow heap until the window
-// jumps past them. The jump must promote them in order, skip entries
-// cancelled while still in overflow, and interleave correctly with events
-// scheduled into the already-promoted window mid-drain.
-TEST(EventQueue, OverflowEventsRepromotedAfterWindowJump) {
+// After a pop far ahead of the last one, the far events must still drain
+// in order, skip an entry cancelled before the jump, and interleave
+// correctly with an event scheduled between two of them mid-drain.
+TEST(EventQueue, FarEventsDrainInOrderAfterTimeJump) {
   EventQueue q;
   const sim::Time far = sim::Time{1} << 41;
   std::vector<int> order;
@@ -292,25 +358,25 @@ TEST(EventQueue, OverflowEventsRepromotedAfterWindowJump) {
     far_ids.push_back(q.schedule_at(far + static_cast<sim::Time>(i) * 10,
                                     [&order, i] { order.push_back(1 + i); }));
   }
-  EXPECT_TRUE(q.cancel(far_ids[3]));  // cancelled while still in overflow
+  EXPECT_TRUE(q.cancel(far_ids[3]));  // cancelled before the jump
   auto [t0, cb0] = q.pop();
   EXPECT_EQ(t0, 100u);
   cb0();
-  // The next pop jumps the window across the whole wheel span.
+  // The next pop jumps time forward by 2^41 ns.
   EXPECT_EQ(q.next_time(), far);
   auto [t1, cb1] = q.pop();
   EXPECT_EQ(t1, far);
   cb1();
-  // Mid-drain, drop a new event between two promoted overflow events.
+  // Mid-drain, drop a new event between two of the far events.
   q.schedule_at(far + 15, [&] { order.push_back(100); });
   while (!q.empty()) q.pop().second();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 100, 3, 5, 6, 7, 8}));
 }
 
-// A compaction sweep recycles every tombstoned slot at once. Ids of the
-// compacted events must stay stale after their slots are reused, and the
-// survivors must be unaffected.
-TEST(EventQueue, StaleIdsAfterCompactionCannotCancelReusedSlots) {
+// A burst of cancels frees many slots, which the next burst of schedules
+// reuses. Ids of the cancelled events must stay stale after their slots
+// are reused, and the survivor must be unaffected.
+TEST(EventQueue, StaleIdsAfterMassCancelCannotCancelReusedSlots) {
   EventQueue q;
   const EventId keeper = q.schedule_at(1'000'000, [] {});
   std::vector<EventId> doomed;
@@ -318,7 +384,6 @@ TEST(EventQueue, StaleIdsAfterCompactionCannotCancelReusedSlots) {
     doomed.push_back(
         q.schedule_at(2'000'000 + static_cast<sim::Time>(i), [] {}));
   }
-  // dead > 64 && dead > live triggers compact() partway through this loop.
   for (const EventId id : doomed) ASSERT_TRUE(q.cancel(id));
   EXPECT_EQ(q.size(), 1u);
   int fired = 0;

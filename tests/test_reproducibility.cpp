@@ -68,9 +68,9 @@ TEST(Reproducibility, DifferentSeedDifferentRun) {
   EXPECT_NE(a.events, b.events);
 }
 
-// The timing-wheel calendar must preserve the determinism contract end to
-// end: two runs with one seed agree on every event executed and on the
-// full shape of the figure metrics, not just the summary moments.
+// The calendar must preserve the determinism contract end to end: two runs
+// with one seed agree on every event executed and on the full shape of the
+// figure metrics, not just the summary moments.
 TEST(Reproducibility, FigureMetricsBitIdenticalAcrossRuns) {
   const auto run = [](std::uint64_t seed) {
     config::Platform p(config::MachineConfig::dual_p3_xeon_933(),

@@ -195,6 +195,68 @@ TEST(O1Scheduler, StealHonorsAffinity) {
   EXPECT_EQ(s.pick_next(1), nullptr);  // cannot steal a CPU-0-pinned task
 }
 
+// The priority bitmap must track each level through empty and back: a level
+// emptied by dequeue, or by a pick, and then refilled is found again ahead
+// of lower levels, and a level that loses a task to a dequeue or a pick
+// keeps the rest.
+TEST(O1Scheduler, RefilledLevelIsFoundAgain) {
+  auto cfg = config::KernelConfig::redhawk_1_4();
+  kernel::O1Scheduler s(cfg, sim::Rng(1));
+  s.init(1);
+  auto rt = make_task(1, kernel::SchedPolicy::kFifo, 50, 0, hw::CpuMask(0b1));
+  auto a = make_task(2, kernel::SchedPolicy::kOther, 0, 0, hw::CpuMask(0b1));
+  auto b = make_task(3, kernel::SchedPolicy::kOther, 0, 0, hw::CpuMask(0b1));
+  auto c = make_task(4, kernel::SchedPolicy::kOther, 0, 0, hw::CpuMask(0b1));
+  s.enqueue(rt, 0);
+  s.enqueue(a, 0);
+  s.enqueue(b, 0);
+  s.enqueue(c, 0);
+  s.dequeue(rt);  // empties the RT level
+  s.enqueue(rt, 0);
+  EXPECT_EQ(s.pick_next(0), &rt);  // emptied by the pick this time
+  s.enqueue(rt, 0);
+  EXPECT_EQ(s.pick_next(0), &rt);
+  s.dequeue(a);  // the OTHER level still holds b and c
+  EXPECT_EQ(s.pick_next(0), &b);
+  EXPECT_EQ(s.pick_next(0), &c);
+  EXPECT_EQ(s.pick_next(0), nullptr);
+  EXPECT_EQ(s.nr_runnable(0), 0u);
+}
+
+// A non-empty level whose only tasks may not run on the picking CPU is
+// passed over, and the pick comes back with the next level's task.
+TEST(O1Scheduler, LevelOfDisallowedTasksIsSkipped) {
+  auto cfg = config::KernelConfig::redhawk_1_4();
+  kernel::O1Scheduler s(cfg, sim::Rng(1));
+  s.init(2);
+  auto elsewhere = make_task(1, kernel::SchedPolicy::kFifo, 90, 0,
+                             hw::CpuMask(0b10));
+  auto here = make_task(2, kernel::SchedPolicy::kFifo, 10, 0, hw::CpuMask(0b11));
+  s.enqueue(elsewhere, 0);
+  s.enqueue(here, 0);
+  EXPECT_EQ(s.pick_next(0), &here);
+  EXPECT_TRUE(elsewhere.on_runqueue);
+  EXPECT_EQ(s.nr_runnable(0), 1u);
+  EXPECT_EQ(s.pick_next(1), &elsewhere);  // a steal: CPU 1's queue is empty
+}
+
+// A steal from a busiest queue that holds only tasks the idle CPU may not
+// run finds nothing, and leaves that queue as it was.
+TEST(O1Scheduler, StealFromQueueOfDisallowedTasksReturnsNull) {
+  auto cfg = config::KernelConfig::redhawk_1_4();
+  kernel::O1Scheduler s(cfg, sim::Rng(1));
+  s.init(2);
+  auto rt = make_task(1, kernel::SchedPolicy::kFifo, 50, 0, hw::CpuMask(0b1));
+  auto other = make_task(2, kernel::SchedPolicy::kOther, 0, 0, hw::CpuMask(0b1));
+  s.enqueue(rt, 0);
+  s.enqueue(other, 0);
+  EXPECT_EQ(s.pick_next(1), nullptr);
+  EXPECT_EQ(s.nr_runnable(0), 2u);
+  EXPECT_EQ(rt.migrations + other.migrations, 0u);
+  EXPECT_EQ(s.pick_next(0), &rt);
+  EXPECT_EQ(s.pick_next(0), &other);
+}
+
 TEST(GoodnessScheduler, EpochRefillsExhaustedCounters) {
   auto cfg = config::KernelConfig::vanilla_2_4_20();
   kernel::GoodnessScheduler s(cfg, sim::Rng(1));

@@ -3,7 +3,8 @@
 # benchmark's own unit tests + end-to-end CLI smokes (registry, telemetry,
 # reporters, trace export, blame, campaigns and their resume, chaos and
 # hostile-store gates), then the same tests under ASan+UBSan so the
-# calendar's slot reuse and the worker processes stay sanitizer-clean.
+# calendar's heap sifts and slot reuse, and the worker processes, stay
+# sanitizer-clean.
 # Nothing starts a thread (worker processes are the only parallelism), so
 # there is no ThreadSanitizer build.
 # ASan aborts on the first finding (-fno-sanitize-recover=all), so any
